@@ -804,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--cache", action="store_true",
                       help="enable the incremental analysis cache")
     lint.add_argument("--jobs", type=int, default=None,
-                      help="parallel parse workers")
+                      help="ignored (files are parsed serially)")
     lint.add_argument("--no-baseline", action="store_true",
                       help="ignore the checked-in baseline")
     lint.add_argument("--write-baseline", action="store_true",

@@ -16,7 +16,10 @@ write here).  An interrupted run therefore resumes at chunk
 granularity — the executor reloads the ledger, recomputes only the
 missing indices, and on completion the final batch document replaces
 the ledger (which is then removed).  Ledger documents carry the same
-salt and key discipline as batch documents.
+salt and key discipline as batch documents.  The ledger exists only
+where a batch runs as more than one chunk: the serial executor runs
+every missing index as a single chunk, and that chunk *is* the batch
+document, so it is written once and never checkpointed.
 
 Schema v3 makes every stored document *tamper-evident*: batch and
 chunk documents carry a ``digest`` — the canonical content hash of
@@ -403,14 +406,19 @@ class ResultCache:
         return outcomes
 
     def _write_doc(self, path: Path, doc: Dict[str, Any]) -> Path:
-        """Atomic JSON write: temp file in the target dir, then rename."""
+        """Atomic JSON write: temp file in the target dir, then rename.
+
+        ``json.dumps`` rather than ``json.dump``: only the one-shot call
+        takes CPython's C encoder (``json.dump`` streams through the
+        pure-Python iterencoder); the bytes are identical.
+        """
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
             dir=str(path.parent), prefix=".tmp-", suffix=".json"
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, sort_keys=True)
+                fh.write(json.dumps(doc, sort_keys=True))
             os.replace(tmp_name, path)
         except BaseException:
             try:

@@ -26,6 +26,11 @@ quarantined as a structured :class:`ChunkFailure` instead of killing
 the run.  After enough consecutive pool failures the parallel
 executor degrades to in-process execution rather than give up.
 
+The ledger exists only where a batch runs as more than one chunk.
+When the missing indices run as a single chunk (always for the serial
+executor), that chunk *is* the batch document, which is written once
+on completion.
+
 Only picklable values cross the process boundary: the frozen spec, the
 base seed, index lists, and the chunk's retry ordinal.  Workers
 rebuild live protocol/adversary objects by name via
@@ -285,7 +290,13 @@ class Executor:
 
 
 class SerialExecutor(Executor):
-    """In-process, in-order execution — the zero-dependency baseline."""
+    """In-process, in-order execution — the zero-dependency baseline.
+
+    Every missing index runs as one chunk, so there is no ledger
+    checkpoint: the chunk *is* the batch, and :meth:`run_outcomes`
+    writes it as the batch document straight after.  (A ledger left by
+    an interrupted multi-chunk run is still salvaged.)
+    """
 
     def _execute(
         self, batch: TrialBatch, report: BatchReport
@@ -294,9 +305,7 @@ class SerialExecutor(Executor):
         outcomes = list(salvaged.values())
         missing = [i for i in range(batch.trials) if i not in salvaged]
         if missing:
-            outcomes.extend(
-                self._run_with_retry(batch, missing, report, checkpoint=True)
-            )
+            outcomes.extend(self._run_with_retry(batch, missing, report))
         return outcomes
 
 
@@ -391,12 +400,10 @@ class ParallelExecutor(Executor):
             return outcomes
         chunks = self._chunk_indices(missing, batch.trials)
         if len(chunks) <= 1:
-            # Not worth a round-trip through the pool.
-            outcomes.extend(
-                self._run_with_retry(
-                    batch, chunks[0], report, checkpoint=True
-                )
-            )
+            # Not worth a round-trip through the pool.  A single chunk
+            # is the rest of the batch, so (as in the serial executor)
+            # the batch document is its only write.
+            outcomes.extend(self._run_with_retry(batch, chunks[0], report))
             return outcomes
         outcomes.extend(self._collect(batch, chunks, report))
         return outcomes

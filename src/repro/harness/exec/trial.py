@@ -35,6 +35,7 @@ from repro.harness.exec.spec import (
     ENGINE_BATCH2D,
     ENGINE_FAST,
     TrialSpec,
+    derive_trial_seed,
 )
 from repro.sim.checks import verify_execution
 from repro.sim.engine import Engine
@@ -269,10 +270,11 @@ def run_spec_batch(
     (:class:`~repro.sim.batch.BatchFastEngine` for ``engine="batch"``,
     :class:`~repro.sim.batch2d.Batch2DEngine` for ``engine="batch2d"``).
     Per-trial seeds are the same ``(base_seed, spec_hash, trial_index)``
-    hashes as everywhere else and each trial's randomness is a pure
-    function of its own seed, so outcomes are byte-identical however
-    the indices are chunked across calls or workers — the executor
-    contract the serial and process-pool paths already rely on.
+    hashes as everywhere else (the spec is hashed once per slice) and
+    each trial's randomness is a pure function of its own seed, so
+    outcomes are byte-identical however the indices are chunked across
+    calls or workers — the executor contract the serial and
+    process-pool paths already rely on.
     """
     engine_cls = BATCH_ENGINES.get(spec.engine)
     if engine_cls is None:
@@ -289,7 +291,10 @@ def run_spec_batch(
         raise ConfigurationError(
             f"duplicate trial indices in batch slice: {indices}"
         )
-    seeds = [spec.trial_seed(base_seed, i) for i in indices]
+    # One spec hash per slice: spec.trial_seed would re-hash the whole
+    # spec for every index, yet the scope is the same for all of them.
+    scope = spec.spec_hash()
+    seeds = [derive_trial_seed(base_seed, scope, i) for i in indices]
     if spec.inputs in _SAMPLED_INPUT_KINDS:
         inputs = [
             build_inputs(spec, random.Random(seed ^ _INPUT_STREAM_MASK))

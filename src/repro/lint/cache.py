@@ -132,7 +132,7 @@ class LintCache:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, sort_keys=True)
+                fh.write(json.dumps(doc, sort_keys=True))
             os.replace(tmp_name, self.path)
         except OSError:
             try:

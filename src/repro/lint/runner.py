@@ -16,8 +16,11 @@ determinism taint, REP008 spec payload safety) run over a
 :class:`~repro.lint.project.ProjectModel` built from the whole tree in
 one pass, and their results are cacheable per tree hash.  With
 ``--cache``, a second run over an unchanged tree re-parses and
-re-analyses nothing (see :mod:`repro.lint.cache`); file reading,
-hashing, and parsing are fanned out over a thread pool (``--jobs``).
+re-analyses nothing (see :mod:`repro.lint.cache`).  Files are read,
+hashed, and parsed serially: the parse is GIL-bound, so a thread pool
+bought no speed, and concurrent ``ast.parse`` calls are not safe on
+every CPython (3.11 raises ``SystemError``).  ``--jobs`` is accepted
+and ignored.
 
 The runner resolves the repo root (nearest ancestor of the first
 scanned path containing ``PAPER.md`` or ``pyproject.toml``) to locate
@@ -31,14 +34,12 @@ from __future__ import annotations
 
 import argparse
 import ast
-import concurrent.futures
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.lint.baseline import (
     BASELINE_FILENAME,
@@ -74,8 +75,6 @@ _PER_FILE_RULES = {
 _PROJECT_RULES = ("REP002", "REP003", "REP007", "REP008")
 
 _ROOT_MARKERS = ("PAPER.md", "pyproject.toml", ".git")
-
-_DEFAULT_JOBS = min(8, os.cpu_count() or 1)
 
 
 def discover_root(start: Path) -> Path:
@@ -139,38 +138,21 @@ class _FileEntry:
     parsed: bool = False
     findings: Optional[List[Finding]] = None
     from_cache: bool = False
+    #: Why the file could not be read or parsed (``Type: message``),
+    #: carried into its REP000 finding.
+    error: Optional[str] = None
 
 
-def _parallel_map(
-    worker: Callable[[_FileEntry], None],
-    entries: Sequence[_FileEntry],
-    jobs: int,
-) -> None:
-    """Apply ``worker`` to every entry, fanning out when worthwhile.
-
-    Results are written onto the entries themselves, so ordering is
-    preserved regardless of completion order.  A worker that raises
-    leaves its entry untouched (reported downstream as REP000) rather
-    than losing the whole run.
-    """
-    if jobs <= 1 or len(entries) < 2:
-        for entry in entries:
-            worker(entry)
-        return
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(worker, entry) for entry in entries]
-        for future in futures:
-            try:
-                future.result()
-            except Exception:  # pragma: no cover - defensive
-                pass
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _read_entry(entry: _FileEntry) -> None:
     try:
         entry.data = entry.path.read_bytes()
-    except OSError:
+    except OSError as exc:
         entry.data = None
+        entry.error = _describe(exc)
         return
     entry.sha = hashlib.sha256(entry.data).hexdigest()
 
@@ -181,11 +163,9 @@ def _parse_entry(entry: _FileEntry) -> None:
         return
     try:
         source = entry.data.decode("utf-8")
-    except UnicodeDecodeError:
-        return
-    try:
         tree = ast.parse(source, filename=str(entry.path))
-    except (SyntaxError, ValueError):
+    except (SyntaxError, ValueError) as exc:  # incl. UnicodeDecodeError
+        entry.error = _describe(exc)
         return
     entry.ctx = FileContext(
         path=entry.path,
@@ -234,7 +214,6 @@ def lint_paths(
     allow: Sequence[str] = (),
     paper: Optional[str] = None,
     docs: Optional[str] = None,
-    jobs: Optional[int] = None,
     cache: bool = False,
     cache_dir: Optional[str] = None,
     baseline: Optional[str] = None,
@@ -259,7 +238,6 @@ def lint_paths(
         paper=Path(paper) if paper else None,
         docs=Path(docs) if docs else None,
     )
-    jobs = _DEFAULT_JOBS if jobs is None else max(1, jobs)
 
     report = LintReport(rules_run=[r for r in ALL_RULES if r in config.select])
     cwd = Path.cwd()
@@ -272,7 +250,8 @@ def lint_paths(
         entries.append(_FileEntry(path=file_path, display=display))
     report.files_scanned = len(entries)
 
-    _parallel_map(_read_entry, entries, jobs)
+    for entry in entries:
+        _read_entry(entry)
 
     per_file_selected = [
         r for r in _PER_FILE_RULES if r in config.select
@@ -311,7 +290,8 @@ def lint_paths(
         for e in entries
         if (e.findings is None or need_project_pass) and e.data is not None
     ]
-    _parallel_map(_parse_entry, to_parse, jobs)
+    for entry in to_parse:
+        _parse_entry(entry)
     report.cache_hits = sum(1 for e in entries if e.from_cache)
     report.files_reanalyzed = sum(1 for e in entries if e.parsed)
 
@@ -349,7 +329,7 @@ def lint_paths(
                     file=entry.display,
                     line=1,
                     col=0,
-                    message="file could not be read or parsed",
+                    message=f"file could not be read or parsed: {entry.error}",
                 )
             ]
         else:
@@ -490,7 +470,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="parallel read/parse workers (default: min(8, cpus))",
+        help="ignored: files are read and parsed serially "
+             "(kept so existing invocations still work)",
     )
     parser.add_argument(
         "--cache",
@@ -554,7 +535,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         allow=args.allow,
         paper=args.paper,
         docs=args.docs,
-        jobs=args.jobs,
         cache=args.cache,
         cache_dir=args.cache_dir,
         baseline=args.baseline,

@@ -497,12 +497,8 @@ class BatchResult:
             crashes_used=int(self.crashes_used[i]),
             survivors=int(self.survivors[i]),
             terminated=bool(self.terminated[i]),
-            crashes_per_round=[
-                int(c) for c in self.crashes_per_round[:rounds, i]
-            ],
-            senders_per_round=[
-                int(s) for s in self.senders_per_round[:rounds, i]
-            ],
+            crashes_per_round=self.crashes_per_round[:rounds, i].tolist(),
+            senders_per_round=self.senders_per_round[:rounds, i].tolist(),
         )
 
 

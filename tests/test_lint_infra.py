@@ -447,3 +447,23 @@ class TestCliFormats:
         payload = json.loads(proc.stdout)
         for key in ("files_reanalyzed", "cache_hits", "baselined"):
             assert key in payload
+
+
+class TestUnparsableFiles:
+    def test_rep000_carries_the_exception(self, tmp_path):
+        _write_tree(
+            tmp_path,
+            {"PAPER.md": "x\n", "src/broken.py": "def f(:\n    pass\n"},
+        )
+        (tmp_path / "src" / "latin1.py").write_bytes(b"x = '\xe9'\n")
+        report = lint_paths([str(tmp_path / "src")])
+        messages = {
+            Path(f.file).name: f.message
+            for f in report.findings
+            if f.rule == "REP000"
+        }
+        assert set(messages) == {"broken.py", "latin1.py"}
+        assert messages["broken.py"].startswith(
+            "file could not be read or parsed: SyntaxError: "
+        )
+        assert "UnicodeDecodeError: " in messages["latin1.py"]
