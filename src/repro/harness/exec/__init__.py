@@ -12,8 +12,10 @@ It separates *what* to run from *how* to run it:
   worker process needs is importable, so specs cross process
   boundaries without pickling closures.
 * :mod:`repro.harness.exec.trial` — the single-trial execution
-  functions shared by every driver, and :class:`TrialOutcome`, the
-  JSON-serialisable per-trial record.
+  functions shared by every driver, and :func:`outcomes_digest`.
+* :mod:`repro.harness.exec.columns` — :class:`TrialOutcome`, the
+  per-trial record, and :class:`OutcomeColumns`, its columnar codec
+  (the one layout the engines, the digest, and the cache share).
 * :mod:`repro.harness.exec.executor` — the :class:`Executor` interface
   with :class:`SerialExecutor` and the process-pool
   :class:`ParallelExecutor`; outcomes are byte-identical regardless of
@@ -21,9 +23,10 @@ It separates *what* to run from *how* to run it:
   retry, pool rebuild, quarantine — see
   :mod:`repro.harness.resilience`).
 * :mod:`repro.harness.exec.cache` — :class:`ResultCache`, the
-  content-addressed on-disk store (schema v2: final batch documents
-  plus a per-chunk partial ledger) that makes interrupted sweeps and
-  experiment grids resumable at chunk granularity.
+  content-addressed on-disk store (schema v4: binary column documents
+  for final batches plus a per-chunk partial ledger) that makes
+  interrupted sweeps and experiment grids resumable at chunk
+  granularity.
 
 See ``docs/harness.md`` for the architecture and the seed-derivation
 compatibility note.

@@ -1,39 +1,44 @@
 """Content-addressed on-disk cache of batch results.
 
 Each completed :class:`~repro.harness.exec.spec.TrialBatch` is stored
-as one JSON document under ``.repro-cache/`` (or a caller-chosen
-root), addressed by the batch key — a hash over the spec's content
-hash, the base seed, and the trial count.  A stored document also
-records a *code-version salt*; when the package version (or the cache
-schema) changes, every old entry silently misses and is recomputed,
-so stale results can never survive a code change that might alter
-sampled behaviour.
+as one document under ``.repro-cache/`` (or a caller-chosen root),
+addressed by the batch key — a hash over the spec's content hash, the
+base seed, and the trial count.  A stored document also records a
+*code-version salt*; when the package version (or the cache schema)
+changes, every old entry silently misses and is recomputed, so stale
+results can never survive a code change that might alter sampled
+behaviour.
 
-Schema v2 adds a *partial-batch ledger*: while a batch is in flight,
-each completed chunk of trial indices is persisted as its own small
-document under ``<key>.partial/`` (atomically renamed, like every
-write here).  An interrupted run therefore resumes at chunk
-granularity — the executor reloads the ledger, recomputes only the
-missing indices, and on completion the final batch document replaces
-the ledger (which is then removed).  Ledger documents carry the same
-salt and key discipline as batch documents.  The ledger exists only
-where a batch runs as more than one chunk: the serial executor runs
-every missing index as a single chunk, and that chunk *is* the batch
-document, so it is written once and never checkpointed.
+Schema v4 layout (``<k2>/<key>.bin``): a column document as framed by
+:func:`~repro.harness.exec.columns.pack_document` — an 8-byte
+little-endian header length, a canonical JSON header (``schema``,
+``salt``, ``batch_key``, ``spec``, ``trials``, ``base_seed``,
+``label``, ``digest``, and the column table), then the raw outcome
+column bytes.  A load is one ``read()`` plus ``np.frombuffer`` views;
+it checks the header against the batch, recomputes the digest over
+the loaded columns, and only then materialises ``TrialOutcome``
+objects, once.  There is no upgrade path: a v2 or v3 JSON document (at
+the old ``<key>.json`` name or anywhere else) is a plain miss and the
+batch is recomputed.
 
-Schema v3 makes every stored document *tamper-evident*: batch and
-chunk documents carry a ``digest`` — the canonical content hash of
-their outcomes (:func:`~repro.harness.exec.trial.outcomes_digest`,
-the same attestation digest workers compute in the service tier) —
-and loads recompute and compare it, so an entry whose outcome bytes
-were altered after the fact (a Byzantine worker's checkpoint, bit
-rot, a hand-edited file) reads as a miss instead of poisoning every
-future cache hit.  v2 batch documents written by the previous schema
-upgrade transparently: a load that validates an old document computes
-its digest and rewrites it in place as v3, so a shared cache survives
-the bump without recomputing anything.  (v2 *chunk* documents are
-treated as misses — the ledger is transient scratch state and the
-chunk is simply recomputed.)
+*Partial-batch ledger*: while a batch is in flight, each completed
+chunk of trial indices is persisted as its own document
+(``<key>.partial/chunk-<first>-<last>.bin``, same layout and header).
+An interrupted run therefore resumes at chunk granularity — the
+executor reloads the ledger, recomputes only the missing indices, and
+on completion the final batch document replaces the ledger (which is
+then removed).  The ledger exists only where a batch runs as more than
+one chunk: the serial executor runs every missing index as a single
+chunk, and that chunk *is* the batch document, so it is written once
+and never checkpointed.
+
+Every document is *tamper-evident*: its ``digest`` is the canonical
+content hash of its outcome columns (the same value
+:func:`~repro.harness.exec.trial.outcomes_digest` gives and workers
+attest in the service tier), so an entry whose outcome bytes were
+altered after the fact (a Byzantine worker's checkpoint, bit rot, a
+hand-edited file) reads as a miss instead of poisoning every future
+cache hit.
 
 Loads are defensive — any malformed, truncated, or mismatched
 document (batch or chunk) is treated as a miss, never an error.
@@ -42,7 +47,7 @@ or full filesystem) degrades the cache to a warned no-op, so a run
 completes uncached rather than crashing.
 
 Concurrency: every document write is an atomic rename, so no reader
-ever observes a torn JSON file — but the *ledger transitions* (a batch
+ever observes a torn document — but the *ledger transitions* (a batch
 store compacting the partial directory away, two writers checkpointing
 chunks of the same batch) span several filesystem operations.  Those
 are serialised per batch key through an advisory ``flock`` on a
@@ -56,7 +61,6 @@ still torn-write-free — guarantee.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import re
 import shutil
@@ -66,29 +70,34 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 try:  # pragma: no cover - platform probe
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 import repro
+from repro.errors import ConfigurationError
+from repro.harness.exec.columns import (
+    OutcomeColumns,
+    TrialOutcome,
+    pack_document,
+    unpack_document,
+)
 from repro.harness.exec.spec import TrialBatch
-from repro.harness.exec.trial import TrialOutcome, outcomes_digest
 
 __all__ = ["CACHE_SCHEMA_VERSION", "DEFAULT_CACHE_DIR", "ResultCache", "cache_salt"]
 
 #: Bumped whenever the stored document layout changes.
 #: v2: partial-batch chunk ledger alongside final batch documents.
 #: v3: tamper-evident outcome digests on batch and chunk documents.
-CACHE_SCHEMA_VERSION = 3
-
-#: The previous schema, whose batch documents upgrade transparently on
-#: load (validated, digested, rewritten as the current schema).
-_UPGRADABLE_SCHEMA_VERSION = 2
+#: v4: binary column documents (:mod:`repro.harness.exec.columns`).
+CACHE_SCHEMA_VERSION = 4
 
 DEFAULT_CACHE_DIR = Path(".repro-cache")
 
-_CHUNK_DOC_RE = re.compile(r"^chunk-(\d{8})-(\d{8})\.json$")
+_CHUNK_DOC_RE = re.compile(r"^chunk-(\d{8})-(\d{8})\.bin$")
 
 
 def cache_salt(schema: int = CACHE_SCHEMA_VERSION) -> str:
@@ -97,7 +106,7 @@ def cache_salt(schema: int = CACHE_SCHEMA_VERSION) -> str:
 
 
 class ResultCache:
-    """JSON result store keyed by batch content hash + seed + salt.
+    """Column-document result store keyed by batch content hash + seed + salt.
 
     Args:
         root: Cache directory; created lazily on first store.
@@ -110,7 +119,7 @@ class ResultCache:
     def path_for(self, batch: TrialBatch) -> Path:
         """Where ``batch``'s document lives (two-level fan-out)."""
         key = batch.batch_key()
-        return self.root / key[:2] / f"{key}.json"
+        return self.root / key[:2] / f"{key}.bin"
 
     def partial_dir(self, batch: TrialBatch) -> Path:
         """Where ``batch``'s in-flight chunk ledger lives."""
@@ -158,73 +167,18 @@ class ResultCache:
 
         A hit requires the schema version, salt, batch key, spec
         fields, trial count, base seed, and outcome digest all to
-        match, and every outcome record to parse; anything else —
-        including a corrupt, tampered, or unreadable file — is a miss.
-
-        A valid document of the previous schema (v2, pre-digest) is
-        accepted and upgraded in place: its digest is computed from
-        the validated outcomes and the document is atomically
-        rewritten as the current schema, so an existing shared cache
-        survives the schema bump without recomputation.
+        match, and the columns to hold exactly trials ``0..trials-1``;
+        anything else — including a corrupt, tampered, truncated,
+        legacy (v2/v3 JSON), or unreadable file — is a miss.
         """
-        path = self.path_for(batch)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
+        columns = self._load_doc(self.path_for(batch), batch)
+        if columns is None:
             return None
-        try:
-            schema = doc["schema"]
-            if schema == CACHE_SCHEMA_VERSION:
-                if doc["salt"] != cache_salt():
-                    return None
-            elif schema == _UPGRADABLE_SCHEMA_VERSION:
-                if doc["salt"] != cache_salt(_UPGRADABLE_SCHEMA_VERSION):
-                    return None
-            else:
-                return None
-            if doc["batch_key"] != batch.batch_key():
-                return None
-            if doc["spec"] != _spec_doc(batch):
-                return None
-            if doc["trials"] != batch.trials or doc["base_seed"] != batch.base_seed:
-                return None
-            records = doc["outcomes"]
-            if not isinstance(records, list) or len(records) != batch.trials:
-                return None
-            outcomes = [TrialOutcome.from_jsonable(rec) for rec in records]
-        except Exception:
+        if not np.array_equal(
+            columns.arrays["trial_index"], np.arange(batch.trials)
+        ):
             return None
-        outcomes.sort(key=lambda o: o.trial_index)
-        if [o.trial_index for o in outcomes] != list(range(batch.trials)):
-            return None
-        digest = outcomes_digest(outcomes)
-        if schema == CACHE_SCHEMA_VERSION:
-            if doc.get("digest") != digest:
-                return None  # tampered or bit-rotted: recompute
-        else:
-            self._upgrade_doc(path, doc, digest)
-        return outcomes
-
-    def _upgrade_doc(
-        self, path: Path, doc: Dict[str, Any], digest: str
-    ) -> None:
-        """Rewrite a validated legacy document as the current schema.
-
-        Best effort and lock-free: the write is a single atomic rename
-        (a concurrent writer would produce identical bytes), and a
-        read-only cache simply keeps serving the legacy document — the
-        upgrade is an opportunity, not a requirement, so failures are
-        swallowed rather than degrading the cache.
-        """
-        upgraded = dict(doc)
-        upgraded["schema"] = CACHE_SCHEMA_VERSION
-        upgraded["salt"] = cache_salt()
-        upgraded["digest"] = digest
-        try:
-            self._write_doc(path, upgraded)
-        except OSError:
-            pass
+        return columns.to_outcomes()
 
     def store(
         self, batch: TrialBatch, outcomes: List[TrialOutcome]
@@ -240,24 +194,10 @@ class ResultCache:
         """
         if self._unwritable:
             return None
-        doc = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "salt": cache_salt(),
-            "batch_key": batch.batch_key(),
-            "spec": _spec_doc(batch),
-            "trials": batch.trials,
-            "base_seed": batch.base_seed,
-            "label": batch.label,
-            "digest": outcomes_digest(outcomes),
-            "outcomes": [
-                o.to_jsonable()
-                for o in sorted(outcomes, key=lambda o: o.trial_index)
-            ],
-        }
-        path = self.path_for(batch)
+        buffers = self._pack(batch, outcomes)
         with self._locked(batch):
             try:
-                written = self._write_doc(path, doc)
+                written = self._write_atomic(self.path_for(batch), buffers)
             except OSError as exc:
                 self._degrade(exc)
                 return None
@@ -273,33 +213,22 @@ class ResultCache:
         """Checkpoint one completed chunk into the batch's ledger.
 
         The document is named after the index span it covers
-        (``chunk-<first>-<last>.json``) and written atomically, so a
+        (``chunk-<first>-<last>.bin``) and written atomically, so a
         crash at any instant leaves either a valid chunk document or
         none.  Returns ``None`` on an empty chunk or a degraded cache.
         """
         if self._unwritable or not indices:
             return None
-        first, last = min(indices), max(indices)
-        doc = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "salt": cache_salt(),
-            "batch_key": batch.batch_key(),
-            "indices": sorted(int(i) for i in indices),
-            "digest": outcomes_digest(outcomes),
-            "outcomes": [
-                o.to_jsonable()
-                for o in sorted(outcomes, key=lambda o: o.trial_index)
-            ],
-        }
-        path = self.partial_dir(batch) / f"chunk-{first:08d}-{last:08d}.json"
+        buffers = self._pack(batch, outcomes)
+        path = self._chunk_path(batch, indices)
         with self._locked(batch):
-            if self.load(batch) is not None:
+            if self._load_doc(self.path_for(batch), batch) is not None:
                 # Another writer already completed and compacted the
                 # batch; re-creating ledger state under a finished
                 # document would only leave an orphan directory.
                 return None
             try:
-                return self._write_doc(path, doc)
+                return self._write_atomic(path, buffers)
             except OSError as exc:
                 self._degrade(exc)
                 return None
@@ -321,11 +250,11 @@ class ResultCache:
         except OSError:
             return salvaged, 0
         for path in paths:
-            loaded = self._load_chunk_doc(path, batch)
-            if loaded is None:
+            columns = self._load_doc(path, batch)
+            if columns is None:
                 continue
             valid_docs += 1
-            for outcome in loaded:
+            for outcome in columns.to_outcomes():
                 salvaged[outcome.trial_index] = outcome
         return salvaged, valid_docs
 
@@ -362,63 +291,60 @@ class ResultCache:
         """
         if not indices:
             return
-        first, last = min(indices), max(indices)
-        path = self.partial_dir(batch) / f"chunk-{first:08d}-{last:08d}.json"
+        path = self._chunk_path(batch, indices)
         with self._locked(batch):
             try:
                 path.unlink()
             except OSError:
                 pass
 
-    def _load_chunk_doc(
+    def _chunk_path(self, batch: TrialBatch, indices: Sequence[int]) -> Path:
+        """The ledger document covering ``indices``' span."""
+        first, last = min(indices), max(indices)
+        return self.partial_dir(batch) / f"chunk-{first:08d}-{last:08d}.bin"
+
+    def _pack(
+        self, batch: TrialBatch, outcomes: Sequence[TrialOutcome]
+    ) -> List[Any]:
+        """A batch or chunk document's buffers for ``outcomes``."""
+        columns = OutcomeColumns.from_outcomes(outcomes).sorted()
+        header = dict(_identity(batch), label=batch.label, digest=columns.digest())
+        return pack_document(header, columns)
+
+    def _load_doc(
         self, path: Path, batch: TrialBatch
-    ) -> Optional[List[TrialOutcome]]:
-        """One ledger document's outcomes, or ``None`` on any defect."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        try:
-            if doc["schema"] != CACHE_SCHEMA_VERSION:
-                return None
-            if doc["salt"] != cache_salt():
-                return None
-            if doc["batch_key"] != batch.batch_key():
-                return None
-            indices = doc["indices"]
-            records = doc["outcomes"]
-            if not isinstance(indices, list) or not isinstance(records, list):
-                return None
-            if len(indices) != len(records):
-                return None
-            outcomes = [TrialOutcome.from_jsonable(rec) for rec in records]
-        except Exception:
-            return None
-        if sorted(o.trial_index for o in outcomes) != sorted(indices):
-            return None
-        if any(not 0 <= o.trial_index < batch.trials for o in outcomes):
-            return None
-        if doc.get("digest") != outcomes_digest(outcomes):
-            # Pre-digest (v2) chunk docs also land here: the ledger is
-            # transient scratch, so the chunk is simply recomputed.
-            return None
-        return outcomes
+    ) -> Optional[OutcomeColumns]:
+        """A batch or chunk document's verified columns, or ``None``.
 
-    def _write_doc(self, path: Path, doc: Dict[str, Any]) -> Path:
-        """Atomic JSON write: temp file in the target dir, then rename.
-
-        ``json.dumps`` rather than ``json.dump``: only the one-shot call
-        takes CPython's C encoder (``json.dump`` streams through the
-        pure-Python iterencoder); the bytes are identical.
+        ``None`` on any defect: unreadable, unparseable, another
+        schema, salt, or batch, a trial index outside the batch, or
+        columns whose digest differs from the recorded one.
         """
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+            header, columns = unpack_document(data)
+        except (OSError, ConfigurationError):
+            return None
+        if any(header.get(k) != v for k, v in _identity(batch).items()):
+            return None
+        index = columns.arrays["trial_index"]
+        if index.size and (index.min() < 0 or index.max() >= batch.trials):
+            return None
+        if columns.digest() != header.get("digest"):
+            return None  # tampered or bit-rotted: recompute
+        return columns
+
+    def _write_atomic(self, path: Path, buffers: Sequence[Any]) -> Path:
+        """Atomic write: temp file in the target dir, then rename."""
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".tmp-", suffix=".json"
+            dir=str(path.parent), prefix=".tmp-", suffix=path.suffix
         )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(doc, sort_keys=True))
+            with os.fdopen(fd, "wb") as fh:
+                for buffer in buffers:
+                    fh.write(buffer)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -443,6 +369,22 @@ class ResultCache:
             RuntimeWarning,
             stacklevel=3,
         )
+
+
+def _identity(batch: TrialBatch) -> Dict[str, Any]:
+    """The header fields a document of ``batch`` must carry to be read.
+
+    Documents also record the batch ``label`` (informational: batches
+    differing only in label share a key) and the outcome ``digest``.
+    """
+    return {
+        "schema": CACHE_SCHEMA_VERSION,
+        "salt": cache_salt(),
+        "batch_key": batch.batch_key(),
+        "spec": _spec_doc(batch),
+        "trials": batch.trials,
+        "base_seed": batch.base_seed,
+    }
 
 
 def _spec_doc(batch: TrialBatch) -> dict:

@@ -106,10 +106,6 @@ def run_chunk(
     return [run_spec_trial(spec, i, base_seed) for i in indices]
 
 
-#: Backwards-compatible alias (pre-service-tier name).
-_run_chunk = run_chunk
-
-
 def _render_error(exc: BaseException) -> str:
     """Compact one-line rendering for ``ChunkFailure`` records."""
     return f"{type(exc).__name__}: {exc}"

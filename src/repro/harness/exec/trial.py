@@ -1,10 +1,9 @@
 """Single-trial execution shared by every driver.
 
-:class:`TrialOutcome` is the unit the whole execution core trades in:
-one trial's JSON-serialisable result record.  It carries everything the
-harness aggregates into ``TrialStats`` plus the per-round series the
-profiling experiments need, so serial loops, worker processes, and the
-result cache all speak the same value.
+:class:`TrialOutcome` (defined with its columnar codec in
+:mod:`repro.harness.exec.columns`, re-exported here) is the unit the
+whole execution core hands out: one trial's result record, so serial
+loops, worker processes, and the result cache all speak the same value.
 
 :func:`run_spec_trial` is the one function a worker process runs: given
 a (picklable) spec, a base seed, and a trial index, it derives the
@@ -15,11 +14,8 @@ depends on which worker computed it or what ran before it.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.harness.exec.builders import (
@@ -30,6 +26,7 @@ from repro.harness.exec.builders import (
     build_inputs,
     build_protocol,
 )
+from repro.harness.exec.columns import OutcomeColumns, TrialOutcome
 from repro.harness.exec.spec import (
     ENGINE_BATCH,
     ENGINE_BATCH2D,
@@ -40,7 +37,6 @@ from repro.harness.exec.spec import (
 from repro.sim.checks import verify_execution
 from repro.sim.engine import Engine
 from repro.sim.fast import FastEngine
-from repro.sim.model import Verdict
 from repro.sim.registry import BATCH_ENGINES
 
 __all__ = [
@@ -63,122 +59,24 @@ _SAMPLED_INPUT_KINDS = frozenset({"random"})
 _INPUT_STREAM_MASK = 0x5EED
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One trial's result, JSON-serialisable for caching and transport.
-
-    Attributes:
-        trial_index: Position of the trial within its batch.
-        seed: The engine seed the trial ran under.
-        rounds: Total rounds executed.
-        decision_round: First round by whose end every surviving
-            process had decided; ``None`` when the horizon was hit (or
-            everyone crashed first).
-        timeout: Whether the trial hit the round horizon undecided.
-        crashes: Total processes crashed.
-        decision: The common decision value (``None`` if none).
-        verdict: Consensus verdict as a plain dict (reference engine
-            only; ``None`` for fast-engine trials, whose checking is
-            structural).
-        crashes_per_round: Per-round crash counts (fast engine only).
-        senders_per_round: Per-round broadcaster counts (fast engine
-            only).
-    """
-
-    trial_index: int
-    seed: int
-    rounds: int
-    decision_round: Optional[int]
-    timeout: bool
-    crashes: int
-    decision: Optional[int]
-    verdict: Optional[Dict[str, Any]] = None
-    crashes_per_round: Optional[List[int]] = None
-    senders_per_round: Optional[List[int]] = None
-
-    @property
-    def effective_round(self) -> int:
-        """Decision round, or the horizon for timed-out trials.
-
-        This is the value the factory drivers have always appended to
-        ``TrialStats.decision_rounds``.
-        """
-        return self.rounds if self.decision_round is None else self.decision_round
-
-    def verdict_obj(self) -> Optional[Verdict]:
-        """The verdict as a :class:`~repro.sim.model.Verdict`, if any."""
-        if self.verdict is None:
-            return None
-        return Verdict(
-            agreement=bool(self.verdict["agreement"]),
-            validity=bool(self.verdict["validity"]),
-            termination=bool(self.verdict["termination"]),
-            decision=self.verdict["decision"],
-        )
-
-    def to_jsonable(self) -> Dict[str, Any]:
-        """A plain-dict form suitable for ``json.dump``."""
-        return {
-            "trial_index": self.trial_index,
-            "seed": self.seed,
-            "rounds": self.rounds,
-            "decision_round": self.decision_round,
-            "timeout": self.timeout,
-            "crashes": self.crashes,
-            "decision": self.decision,
-            "verdict": self.verdict,
-            "crashes_per_round": self.crashes_per_round,
-            "senders_per_round": self.senders_per_round,
-        }
-
-    @classmethod
-    def from_jsonable(cls, doc: Dict[str, Any]) -> "TrialOutcome":
-        """Inverse of :meth:`to_jsonable`; raises on malformed docs."""
-        try:
-            return cls(
-                trial_index=int(doc["trial_index"]),
-                seed=int(doc["seed"]),
-                rounds=int(doc["rounds"]),
-                decision_round=(
-                    None
-                    if doc["decision_round"] is None
-                    else int(doc["decision_round"])
-                ),
-                timeout=bool(doc["timeout"]),
-                crashes=int(doc["crashes"]),
-                decision=(
-                    None if doc["decision"] is None else int(doc["decision"])
-                ),
-                verdict=doc.get("verdict"),
-                crashes_per_round=doc.get("crashes_per_round"),
-                senders_per_round=doc.get("senders_per_round"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"malformed trial-outcome record: {exc}"
-            ) from exc
-
-
 def outcomes_digest(outcomes: Sequence[TrialOutcome]) -> str:
     """Canonical content hash of a set of outcomes (hex sha256).
 
     The attestation primitive of the service tier: sha256 over the
-    sorted-by-trial-index outcome records serialised as canonical JSON
-    (sorted keys, no whitespace).  Because every outcome is a pure
+    outcomes' canonical column bytes
+    (:meth:`~repro.harness.exec.columns.OutcomeColumns.digest` — every
+    column's name, dtype, length, and little-endian bytes, in a fixed
+    order, trials sorted by index).  Because every outcome is a pure
     function of ``(base_seed, spec_hash, trial_index)``, any honest
     party — the worker that computed a chunk, the executor receiving
     it, an auditor re-executing it later — derives the *same* digest
     for the same work, so a digest mismatch is proof of corruption or
-    a lie, never of nondeterminism.  Records are canonicalised through
-    ``to_jsonable`` (not raw wire bytes), so cosmetic differences such
-    as key order or extra keys cannot change the digest.
+    a lie, never of nondeterminism.  The digest is taken over decoded
+    values, not raw wire bytes, so cosmetic differences such as key
+    order or extra keys in a JSON record cannot change it.  Raises
+    ``ConfigurationError`` on a value the columns cannot hold.
     """
-    records = [
-        o.to_jsonable()
-        for o in sorted(outcomes, key=lambda o: o.trial_index)
-    ]
-    material = json.dumps(records, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    return OutcomeColumns.from_outcomes(outcomes).digest()
 
 
 def execute_reference_trial(
@@ -310,24 +208,12 @@ def run_spec_batch(
         strict_termination=spec.strict_termination,
         fault_model=build_fault_model(spec),
     )
-    result = engine.run(inputs, seeds)
-    outcomes = []
-    for slot, (index, seed) in enumerate(zip(indices, seeds)):
-        trial = result.trial(slot)
-        outcomes.append(
-            TrialOutcome(
-                trial_index=index,
-                seed=seed,
-                rounds=trial.rounds,
-                decision_round=trial.decision_round,
-                timeout=trial.decision_round is None,
-                crashes=trial.crashes_used,
-                decision=trial.decision,
-                crashes_per_round=trial.crashes_per_round,
-                senders_per_round=trial.senders_per_round,
-            )
-        )
-    return outcomes
+    # The engine's (rounds x trials) history arrays are freed before
+    # the outcomes are materialised: only the columns are kept alive.
+    columns = OutcomeColumns.from_batch_result(
+        engine.run(inputs, seeds), indices, seeds
+    )
+    return columns.to_outcomes()
 
 
 def run_spec_trial(

@@ -49,8 +49,11 @@ __all__ = [
     "spec_to_wire",
 ]
 
-#: Bumped whenever the wire layout changes incompatibly.
-WIRE_VERSION = 1
+#: Bumped whenever the wire layout changes incompatibly.  Version 2:
+#: the ``/chunks`` ``chunk_digest`` is the column digest of
+#: :func:`repro.harness.exec.trial.outcomes_digest`, no longer a hash
+#: of canonical JSON records.
+WIRE_VERSION = 2
 
 _PARAM_FIELDS = (
     "protocol_params",

@@ -31,7 +31,7 @@ Activation is via the ``REPRO_CHAOS`` environment variable naming a
 fault-plan JSON file.  An environment variable — rather than live
 state — is the one channel that survives the process boundary, so
 pool workers inherit the plan with no extra plumbing; the executor's
-``_run_chunk`` calls :func:`inject_chunk_faults` on entry, which is a
+``run_chunk`` calls :func:`inject_chunk_faults` on entry, which is a
 no-op when the variable is unset.
 
 ``kill``/``raise``/``delay`` faults target a *trial index* (they fire
@@ -262,7 +262,7 @@ def inject_chunk_faults(
 ) -> None:
     """Worker-side hook: fire any fault targeting this chunk attempt.
 
-    Called by the executor's ``_run_chunk`` on entry.  With no explicit
+    Called by the executor's ``run_chunk`` on entry.  With no explicit
     ``plan`` the environment is consulted; unset means a plain
     dictionary lookup and an immediate return, so production runs pay
     nothing.
@@ -324,7 +324,7 @@ def corrupt_outcomes(
 
 
 def _corrupt(path: Path) -> bool:
-    """Overwrite ``path`` with non-JSON garbage; True if it existed."""
+    """Overwrite ``path`` with text garbage; True if it existed."""
     if not path.is_file():
         return False
     path.write_text(_CORRUPTION, encoding="utf-8")

@@ -39,6 +39,7 @@ from repro.harness.exec.spec import (
     FACTORY_SCOPE,
     derive_trial_seed,
 )
+from repro.harness.exec.columns import OutcomeColumns
 from repro.harness.exec.trial import (
     TrialOutcome,
     execute_fast_trial,
@@ -270,23 +271,9 @@ def run_fast_trials(
             max_rounds=max_rounds,
             strict_termination=False,
         )
-        result = engine.run(inputs, seeds)
-        outcomes = []
-        for index, seed in enumerate(seeds):
-            trial = result.trial(index)
-            outcomes.append(
-                TrialOutcome(
-                    trial_index=index,
-                    seed=seed,
-                    rounds=trial.rounds,
-                    decision_round=trial.decision_round,
-                    timeout=trial.decision_round is None,
-                    crashes=trial.crashes_used,
-                    decision=trial.decision,
-                    crashes_per_round=trial.crashes_per_round,
-                    senders_per_round=trial.senders_per_round,
-                )
-            )
+        outcomes = OutcomeColumns.from_batch_result(
+            engine.run(inputs, seeds), range(len(seeds)), seeds
+        ).to_outcomes()
         return TrialStats.from_outcomes(outcomes, engine_kind=engine_kind)
     outcomes = []
     for index, seed in zip(range(trials), seeds):

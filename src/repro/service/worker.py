@@ -12,7 +12,7 @@ computes the same bytes for the same request.
 
 Endpoints:
 
-* ``POST /chunks`` — body ``{"wire": 1, "spec": <wire spec>,
+* ``POST /chunks`` — body ``{"wire": 2, "spec": <wire spec>,
   "base_seed": int, "indices": [int, ...], "attempt": int}``;
   responds ``{"outcomes": [<trial outcome>, ...], "chunk_digest":
   <hex sha256>}`` where the digest is the outcome attestation

@@ -486,7 +486,12 @@ class BatchResult:
         return int(self.rounds.shape[0])
 
     def trial(self, i: int) -> FastResult:
-        """Trial ``i`` as a scalar :class:`FastResult`."""
+        """Trial ``i`` as a scalar :class:`FastResult`.
+
+        The harness reads batch results through
+        :meth:`repro.harness.exec.columns.OutcomeColumns.from_batch_result`;
+        this per-slot view is the reference its tests compare against.
+        """
         rounds = int(self.rounds[i])
         decision_round = int(self.decision_round[i])
         decision = int(self.decision[i])

@@ -16,6 +16,7 @@ The load-bearing gates from the issue:
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import signal
@@ -35,6 +36,11 @@ from repro.harness.exec import (
     TrialSpec,
 )
 from repro.harness.exec.cache import cache_salt
+from repro.harness.exec.columns import (
+    OutcomeColumns,
+    pack_document,
+    unpack_document,
+)
 from repro.harness.exec.trial import ENGINE_FAST, outcomes_digest
 from repro.harness.resilience import (
     AuditPolicy,
@@ -54,6 +60,7 @@ from repro.service import (
     ServiceSaturated,
     WorkerApp,
 )
+from repro.service import worker as worker_mod
 from repro.service.smoke import wait_healthz
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -119,28 +126,46 @@ class TestAttestation:
         cache.store(batch, serial_outcomes(batch))
         assert cache.load(batch) is not None
         path = cache.path_for(batch)
-        doc = json.loads(path.read_text())
-        doc["outcomes"][0]["rounds"] += 1  # well-formed lie, stale digest
-        path.write_text(json.dumps(doc))
+        header, columns = unpack_document(path.read_bytes())
+        arrays = {name: arr.copy() for name, arr in columns.arrays.items()}
+        arrays["rounds"][0] += 1  # well-formed lie, stale digest
+        lie = b"".join(pack_document(header, OutcomeColumns(arrays)))
+        path.write_bytes(lie)
         assert cache.load(batch) is None
 
-    def test_v2_document_upgrades_in_place(self, tmp_path):
+    @pytest.mark.parametrize("schema", [2, 3])
+    def test_legacy_json_document_misses_and_recomputes(self, tmp_path, schema):
+        # No upgrade path: a v2 or v3 JSON document of the same batch,
+        # at its old name or where a v4 document belongs, is a plain
+        # miss and the batch is recomputed to equal outcomes.
         batch = small_batch()
         cache = ResultCache(tmp_path / "cache")
         expected = serial_outcomes(batch)
-        cache.store(batch, expected)
+        records = [o.to_jsonable() for o in expected]
+        doc = {
+            "schema": schema,
+            "salt": cache_salt(schema),
+            "batch_key": batch.batch_key(),
+            "spec": dataclasses.asdict(batch.spec),
+            "trials": batch.trials,
+            "base_seed": batch.base_seed,
+            "label": batch.label,
+            "outcomes": records,
+        }
+        if schema == 3:
+            doc["digest"] = hashlib.sha256(
+                json.dumps(records, sort_keys=True, separators=(",", ":"))
+                .encode("utf-8")
+            ).hexdigest()
         path = cache.path_for(batch)
-        doc = json.loads(path.read_text())
-        doc["schema"] = 2
-        doc["salt"] = cache_salt(2)
-        del doc["digest"]
-        path.write_text(json.dumps(doc))
-        # The pre-digest document still hits...
+        path.parent.mkdir(parents=True)
+        path.with_suffix(".json").write_text(json.dumps(doc, sort_keys=True))
+        path.write_text(json.dumps(doc, sort_keys=True))
+        assert cache.load(batch) is None
+        executor = SerialExecutor(cache=cache)
+        assert executor.run_outcomes(batch) == expected
+        assert (executor.cache_hits, executor.cache_misses) == (0, 1)
         assert cache.load(batch) == expected
-        # ...and was rewritten as the current, attested schema.
-        upgraded = json.loads(path.read_text())
-        assert upgraded["schema"] == 3
-        assert upgraded["digest"] == outcomes_digest(expected)
 
     def test_wrong_receipt_digest_is_rejected(self, monkeypatch, tmp_path):
         # A worker whose attestation does not match its outcomes is
@@ -166,6 +191,77 @@ class TestAttestation:
         finally:
             worker.close()
             thread.stop()
+        assert outcomes == serial_outcomes(batch)
+        summary = remote.worker_summary()
+        assert summary[0]["quarantined"] is True
+        assert summary[0]["chunks_completed"] == 0
+        assert remote.reports[-1].degraded_to_serial
+
+    @pytest.mark.parametrize(
+        "falsify",
+        [
+            lambda o: dataclasses.replace(o, seed=2**64),
+            lambda o: dataclasses.replace(o, crashes_per_round=[2**31]),
+            lambda o: dataclasses.replace(o, verdict={"agreement": True}),
+            lambda o: dataclasses.replace(
+                o,
+                verdict={
+                    "agreement": True,
+                    "validity": True,
+                    "termination": True,
+                    "decision": 0,
+                    "extra": 1,
+                },
+            ),
+        ],
+        ids=["seed-past-int64", "history-past-int32", "verdict-missing-keys",
+             "verdict-extra-key"],
+    )
+    def test_unencodable_worker_record_is_an_endpoint_failure(
+        self, monkeypatch, tmp_path, falsify
+    ):
+        # A record the columns cannot hold fails the receipt digest
+        # with ConfigurationError: the endpoint is charged, the job
+        # does not crash, and the batch completes locally.
+        batch = small_batch()
+        monkeypatch.setattr(
+            "repro.service.worker.outcomes_digest", lambda outcomes: "0" * 64
+        )
+        honest = worker_mod.execute_wire_chunk
+
+        def lying_chunk(*args, **kwargs):
+            return [falsify(o) for o in honest(*args, **kwargs)]
+
+        monkeypatch.setattr(worker_mod, "execute_wire_chunk", lying_chunk)
+        receipt_errors = []
+
+        def receipt_digest(outcomes):
+            try:
+                return outcomes_digest(outcomes)
+            except ConfigurationError as exc:
+                receipt_errors.append(exc)
+                raise
+
+        monkeypatch.setattr(
+            "repro.service.remote.outcomes_digest", receipt_digest
+        )
+        worker = WorkerApp()
+        thread = start_worker(worker)
+        try:
+            remote = RemoteExecutor(
+                [thread.url],
+                cache=ResultCache(tmp_path / "cache"),
+                chunk_size=2,
+                retry=RetryPolicy(
+                    max_attempts=2, backoff_base=0.0, pool_failure_limit=1
+                ),
+            )
+            with remote:
+                outcomes = remote.run_outcomes(batch)
+        finally:
+            worker.close()
+            thread.stop()
+        assert receipt_errors
         assert outcomes == serial_outcomes(batch)
         summary = remote.worker_summary()
         assert summary[0]["quarantined"] is True

