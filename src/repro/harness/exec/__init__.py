@@ -11,17 +11,20 @@ It separates *what* to run from *how* to run it:
   protocols, adversaries, and input vectors from a spec; everything a
   worker process needs is importable, so specs cross process
   boundaries without pickling closures.
-* :mod:`repro.harness.exec.trial` — the single-trial execution
+* :mod:`repro.harness.exec.trial` — the trial and chunk execution
   functions shared by every driver, and :func:`outcomes_digest`.
 * :mod:`repro.harness.exec.columns` — :class:`TrialOutcome`, the
   per-trial record, and :class:`OutcomeColumns`, its columnar codec
-  (the one layout the engines, the digest, and the cache share).
+  (the one layout the engines, the executors, the digest, the cache,
+  and the service wire share).
 * :mod:`repro.harness.exec.executor` — the :class:`Executor` interface
   with :class:`SerialExecutor` and the process-pool
   :class:`ParallelExecutor`; outcomes are byte-identical regardless of
   worker count or chunking, and execution is fail-stop tolerant (chunk
   retry, pool rebuild, quarantine — see
-  :mod:`repro.harness.resilience`).
+  :mod:`repro.harness.resilience`).  :meth:`Executor.run_columns`
+  returns a batch as columns, :meth:`Executor.run_outcomes` as
+  records.
 * :mod:`repro.harness.exec.cache` — :class:`ResultCache`, the
   content-addressed on-disk store (schema v4: binary column documents
   for final batches plus a per-chunk partial ledger) that makes
@@ -48,12 +51,14 @@ from repro.harness.exec.cache import (
     ResultCache,
     cache_salt,
 )
+from repro.harness.exec.columns import OutcomeColumns
 from repro.harness.exec.executor import (
     Executor,
     ParallelExecutor,
     SerialExecutor,
     make_executor,
     run_chunk,
+    run_chunk_columns,
 )
 from repro.harness.exec.spec import (
     ENGINE_BATCH,
@@ -72,6 +77,7 @@ from repro.harness.exec.trial import (
     execute_fast_trial,
     execute_reference_trial,
     run_spec_batch,
+    run_spec_chunk,
     run_spec_trial,
 )
 from repro.harness.exec.wire import (
@@ -94,6 +100,7 @@ __all__ = [
     "ENGINE_REFERENCE",
     "ExecutionPlan",
     "Executor",
+    "OutcomeColumns",
     "ParallelExecutor",
     "ResultCache",
     "SerialExecutor",
@@ -121,7 +128,9 @@ __all__ = [
     "plan_key",
     "plan_to_wire",
     "run_chunk",
+    "run_chunk_columns",
     "run_spec_batch",
+    "run_spec_chunk",
     "run_spec_trial",
     "spec_from_wire",
     "spec_params",

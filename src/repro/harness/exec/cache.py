@@ -16,10 +16,11 @@ little-endian header length, a canonical JSON header (``schema``,
 ``label``, ``digest``, and the column table), then the raw outcome
 column bytes.  A load is one ``read()`` plus ``np.frombuffer`` views;
 it checks the header against the batch, recomputes the digest over
-the loaded columns, and only then materialises ``TrialOutcome``
-objects, once.  There is no upgrade path: a v2 or v3 JSON document (at
-the old ``<key>.json`` name or anywhere else) is a plain miss and the
-batch is recomputed.
+the loaded columns, and hands the columns back.  The cache never makes
+``TrialOutcome`` objects: stores take the executors' columns as they
+are, without re-encoding.  There is no upgrade path: a v2 or v3 JSON
+document (at the old ``<key>.json`` name or anywhere else) is a plain
+miss and the batch is recomputed.
 
 *Partial-batch ledger*: while a batch is in flight, each completed
 chunk of trial indices is persisted as its own document
@@ -81,7 +82,6 @@ import repro
 from repro.errors import ConfigurationError
 from repro.harness.exec.columns import (
     OutcomeColumns,
-    TrialOutcome,
     pack_document,
     unpack_document,
 )
@@ -162,8 +162,8 @@ class ResultCache:
                     pass
                 handle.close()
 
-    def load(self, batch: TrialBatch) -> Optional[List[TrialOutcome]]:
-        """The batch's cached outcomes, or ``None`` on any miss.
+    def load(self, batch: TrialBatch) -> Optional[OutcomeColumns]:
+        """The batch's cached outcome columns, or ``None`` on any miss.
 
         A hit requires the schema version, salt, batch key, spec
         fields, trial count, base seed, and outcome digest all to
@@ -178,10 +178,10 @@ class ResultCache:
             columns.arrays["trial_index"], np.arange(batch.trials)
         ):
             return None
-        return columns.to_outcomes()
+        return columns
 
     def store(
-        self, batch: TrialBatch, outcomes: List[TrialOutcome]
+        self, batch: TrialBatch, columns: OutcomeColumns
     ) -> Optional[Path]:
         """Persist a completed batch atomically; returns the file path.
 
@@ -194,7 +194,7 @@ class ResultCache:
         """
         if self._unwritable:
             return None
-        buffers = self._pack(batch, outcomes)
+        buffers = self._pack(batch, columns)
         with self._locked(batch):
             try:
                 written = self._write_atomic(self.path_for(batch), buffers)
@@ -208,7 +208,7 @@ class ResultCache:
         self,
         batch: TrialBatch,
         indices: Sequence[int],
-        outcomes: List[TrialOutcome],
+        columns: OutcomeColumns,
     ) -> Optional[Path]:
         """Checkpoint one completed chunk into the batch's ledger.
 
@@ -219,7 +219,7 @@ class ResultCache:
         """
         if self._unwritable or not indices:
             return None
-        buffers = self._pack(batch, outcomes)
+        buffers = self._pack(batch, columns)
         path = self._chunk_path(batch, indices)
         with self._locked(batch):
             if self._load_doc(self.path_for(batch), batch) is not None:
@@ -235,28 +235,30 @@ class ResultCache:
 
     def load_partial(
         self, batch: TrialBatch
-    ) -> Tuple[Dict[int, TrialOutcome], int]:
+    ) -> Tuple[OutcomeColumns, int]:
         """Salvage the batch's chunk ledger from an interrupted run.
 
-        Returns ``(outcomes by trial index, valid chunk documents)``.
-        Corrupt, truncated, or mismatched chunk documents are skipped
-        (that chunk is simply recomputed); a missing ledger directory
-        yields ``({}, 0)``.
+        Returns ``(salvaged columns in trial order, valid chunk
+        documents)``; a trial covered by several documents appears
+        once.  Corrupt, truncated, or mismatched chunk documents are
+        skipped (that chunk is simply recomputed); a missing ledger
+        directory yields no columns and ``0``.
         """
-        salvaged: Dict[int, TrialOutcome] = {}
-        valid_docs = 0
         try:
             paths = self.partial_paths(batch)
         except OSError:
-            return salvaged, 0
+            paths = []
+        parts = []
         for path in paths:
             columns = self._load_doc(path, batch)
-            if columns is None:
-                continue
-            valid_docs += 1
-            for outcome in columns.to_outcomes():
-                salvaged[outcome.trial_index] = outcome
-        return salvaged, valid_docs
+            if columns is not None:
+                parts.append(columns)
+        salvaged = OutcomeColumns.concat(parts).sorted()
+        index = salvaged.arrays["trial_index"]
+        repeated = index[1:] == index[:-1]
+        if repeated.any():
+            salvaged = salvaged.take(np.flatnonzero(np.append(True, ~repeated)))
+        return salvaged, len(parts)
 
     def partial_paths(self, batch: TrialBatch) -> List[Path]:
         """The batch's chunk-ledger documents, sorted by span."""
@@ -303,11 +305,9 @@ class ResultCache:
         first, last = min(indices), max(indices)
         return self.partial_dir(batch) / f"chunk-{first:08d}-{last:08d}.bin"
 
-    def _pack(
-        self, batch: TrialBatch, outcomes: Sequence[TrialOutcome]
-    ) -> List[Any]:
-        """A batch or chunk document's buffers for ``outcomes``."""
-        columns = OutcomeColumns.from_outcomes(outcomes).sorted()
+    def _pack(self, batch: TrialBatch, columns: OutcomeColumns) -> List[Any]:
+        """A batch or chunk document's buffers for ``columns``."""
+        columns = columns.sorted()
         header = dict(_identity(batch), label=batch.label, digest=columns.digest())
         return pack_document(header, columns)
 

@@ -4,13 +4,15 @@
 one trial's result, with everything the harness aggregates into
 ``TrialStats`` plus the per-round series the profiling experiments
 need.  Its JSON record form (:meth:`TrialOutcome.to_jsonable`) is what
-the service wire carries.
+:meth:`ServiceClient.outcomes <repro.service.client.ServiceClient.outcomes>`
+hands its callers.
 
 :class:`OutcomeColumns` is the same data for many trials at once, as
 fixed-dtype numpy columns, and this module is the only code that knows
-that layout.  The engines' batch results, the outcome digest, and the
-cache documents all go through it; ``TrialOutcome`` objects are made
-once, by :meth:`OutcomeColumns.to_outcomes`, at the API edge.
+that layout.  The engines' batch results, the executors, the outcome
+digest, the cache documents, and the service wire all go through it;
+``TrialOutcome`` objects are made once, by
+:meth:`OutcomeColumns.to_outcomes`, at the API edge.
 
 Layout (:data:`LAYOUT`, in canonical order):
 
@@ -33,7 +35,11 @@ columns for storage: an 8-byte little-endian header length, a
 canonical JSON header carrying the caller's fields plus the column
 table (``[name, dtype, count]`` per column), then the raw
 little-endian column bytes back to back.  Reading one is a single
-buffer plus ``np.frombuffer`` views — no pickle, no ``np.load``.
+buffer plus ``np.frombuffer`` views — no pickle, no ``np.load``.  The
+same documents are cache entries and service wire bodies; where one
+body carries several (:func:`pack_documents` /
+:func:`unpack_documents`), each is preceded by its own 8-byte
+little-endian length.
 """
 
 from __future__ import annotations
@@ -54,13 +60,15 @@ __all__ = [
     "OutcomeColumns",
     "TrialOutcome",
     "pack_document",
+    "pack_documents",
     "unpack_document",
+    "unpack_documents",
 ]
 
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """One trial's result, JSON-serialisable for transport.
+    """One trial's result; :meth:`to_jsonable` gives its record form.
 
     Attributes:
         trial_index: Position of the trial within its batch.
@@ -321,25 +329,50 @@ class OutcomeColumns:
             arrays[f"{field}_values"] = _int_column(history.T[keep], _I4, field)
         return cls(arrays)
 
+    @classmethod
+    def empty(cls) -> "OutcomeColumns":
+        """Columns holding no trials."""
+        return cls({name: np.zeros(0, dtype) for name, dtype in LAYOUT})
+
+    @classmethod
+    def concat(cls, parts: Sequence["OutcomeColumns"]) -> "OutcomeColumns":
+        """The rows of every part, part after part (no reordering)."""
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls.empty()
+        return cls(
+            {
+                name: np.concatenate([part.arrays[name] for part in parts])
+                for name, _ in LAYOUT
+            }
+        )
+
+    def __len__(self) -> int:
+        return len(self.arrays["trial_index"])
+
+    def take(self, rows: np.ndarray) -> "OutcomeColumns":
+        """The listed rows, in the listed order (a subset or a permutation)."""
+        arrays = {}
+        for name, _ in LAYOUT:
+            if not name.endswith("_values"):
+                arrays[name] = self.arrays[name][rows]
+        for field in _HISTORIES:
+            lengths = self.arrays[f"{field}_lengths"]
+            starts = np.cumsum(lengths) - lengths
+            new_lengths = lengths[rows]
+            new_starts = np.cumsum(new_lengths) - new_lengths
+            gather = np.repeat(starts[rows] - new_starts, new_lengths)
+            gather += np.arange(len(gather), dtype=_I8)
+            arrays[f"{field}_values"] = self.arrays[f"{field}_values"][gather]
+        return OutcomeColumns(arrays)
+
     def sorted(self) -> "OutcomeColumns":
         """These columns in trial-index order (stable; self if already)."""
         index = self.arrays["trial_index"]
         if np.all(index[1:] >= index[:-1]):
             return self
-        order = np.argsort(index, kind="stable")
-        arrays = {}
-        for name, _ in LAYOUT:
-            if not name.endswith("_values"):
-                arrays[name] = self.arrays[name][order]
-        for field in _HISTORIES:
-            lengths = self.arrays[f"{field}_lengths"]
-            starts = np.cumsum(lengths) - lengths
-            new_lengths = lengths[order]
-            new_starts = np.cumsum(new_lengths) - new_lengths
-            gather = np.repeat(starts[order] - new_starts, new_lengths)
-            gather += np.arange(len(gather), dtype=_I8)
-            arrays[f"{field}_values"] = self.arrays[f"{field}_values"][gather]
-        return OutcomeColumns(arrays)
+        return self.take(np.argsort(index, kind="stable"))
 
     def digest(self) -> str:
         """Hex sha256 over the canonical column bytes.
@@ -496,13 +529,14 @@ def pack_document(fields: Dict[str, Any], columns: OutcomeColumns) -> List[Any]:
     return buffers
 
 
-def unpack_document(data: bytes) -> Tuple[Dict[str, Any], OutcomeColumns]:
+def unpack_document(data: Any) -> Tuple[Dict[str, Any], OutcomeColumns]:
     """Inverse of :func:`pack_document`: ``(header fields, columns)``.
 
-    The columns are read-only views into ``data``.  Any defect — short
-    or oversized header, malformed JSON, a column table that differs
-    from :data:`LAYOUT` or runs past (or stops short of) the end of
-    ``data``, inconsistent columns — raises ``ConfigurationError``.
+    ``data`` is ``bytes`` or a ``memoryview`` of them; the columns are
+    read-only views into it.  Any defect — short or oversized header,
+    malformed JSON, a column table that differs from :data:`LAYOUT` or
+    runs past (or stops short of) the end of ``data``, inconsistent
+    columns — raises ``ConfigurationError``.
     """
     if len(data) < _HEADER_LEN:
         raise ConfigurationError("document shorter than its header length")
@@ -510,7 +544,7 @@ def unpack_document(data: bytes) -> Tuple[Dict[str, Any], OutcomeColumns]:
     if end > len(data):
         raise ConfigurationError("document header runs past its end")
     try:
-        header = json.loads(data[_HEADER_LEN:end])
+        header = json.loads(bytes(data[_HEADER_LEN:end]))
     except (ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8
         raise ConfigurationError(f"document header is not JSON: {exc}") from exc
     if not isinstance(header, dict):
@@ -535,3 +569,28 @@ def unpack_document(data: bytes) -> Tuple[Dict[str, Any], OutcomeColumns]:
     if offset != len(data):
         raise ConfigurationError("document has trailing bytes after its columns")
     return header, OutcomeColumns(arrays)
+
+
+def pack_documents(documents: Sequence[bytes]) -> bytes:
+    """Several packed documents as one body, each after its 8-byte length."""
+    parts: List[bytes] = []
+    for document in documents:
+        parts += [len(document).to_bytes(_HEADER_LEN, "little"), document]
+    return b"".join(parts)
+
+
+def unpack_documents(data: bytes) -> List[Tuple[Dict[str, Any], OutcomeColumns]]:
+    """Inverse of :func:`pack_documents`; ``ConfigurationError`` on any defect."""
+    view = memoryview(data)
+    documents = []
+    offset = 0
+    while offset < len(view):
+        start = offset + _HEADER_LEN
+        if start > len(view):
+            raise ConfigurationError("document length runs past the body end")
+        end = start + int.from_bytes(view[offset:start], "little")
+        if end > len(view):
+            raise ConfigurationError("document runs past the body end")
+        documents.append(unpack_document(view[start:end]))
+        offset = end
+    return documents

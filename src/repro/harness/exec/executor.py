@@ -12,8 +12,15 @@ these trial indices of this batch" to subclasses:
 Because every trial's seed is a pure function of ``(base_seed,
 spec_hash, trial_index)`` and outcomes are re-sorted by trial index
 after collection, the two executors (at any worker count or chunk
-size) produce byte-identical outcome lists — the invariance the test
-suite pins down.
+size) produce byte-identical outcomes — the invariance the test suite
+pins down.
+
+Outcomes stay :class:`~repro.harness.exec.columns.OutcomeColumns`
+from the engine to the cache: chunks return columns (pool children
+pickle them back), a batch is their concatenation, and the cache
+stores exactly those columns.  :meth:`Executor.run_columns` is the one
+implementation; :meth:`Executor.run_outcomes` materialises its result
+as ``TrialOutcome`` objects, once, for callers that want records.
 
 Execution is *fail-stop tolerant*, mirroring the failure model of the
 paper itself: a chunk whose worker crashes, whose pool breaks, or
@@ -32,8 +39,9 @@ executor), that chunk *is* the batch document, which is written once
 on completion.
 
 Only picklable values cross the process boundary: the frozen spec, the
-base seed, index lists, and the chunk's retry ordinal.  Workers
-rebuild live protocol/adversary objects by name via
+base seed, index lists, and the chunk's retry ordinal on the way out,
+outcome columns on the way back.  Workers rebuild live
+protocol/adversary objects by name via
 :mod:`repro.harness.exec.builders`.
 """
 
@@ -42,22 +50,15 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.harness.exec.cache import ResultCache
-from repro.harness.exec.spec import (
-    ENGINE_BATCH,
-    ENGINE_BATCH2D,
-    ExecutionPlan,
-    TrialBatch,
-    TrialSpec,
-)
-from repro.harness.exec.trial import (
-    TrialOutcome,
-    run_spec_batch,
-    run_spec_trial,
-)
+from repro.harness.exec.columns import OutcomeColumns, TrialOutcome
+from repro.harness.exec.spec import ExecutionPlan, TrialBatch, TrialSpec
+from repro.harness.exec.trial import run_spec_chunk
 from repro.harness.resilience import (
     BatchReport,
     ChunkFailure,
@@ -74,17 +75,19 @@ __all__ = [
     "Executor",
     "ParallelExecutor",
     "SerialExecutor",
+    "chunk_indices",
     "make_executor",
     "run_chunk",
+    "run_chunk_columns",
 ]
 
 
-def run_chunk(
+def run_chunk_columns(
     spec: TrialSpec,
     base_seed: int,
     indices: Sequence[int],
     attempt: int = 0,
-) -> List[TrialOutcome]:
+) -> OutcomeColumns:
     """Worker entry point: run a slice of a batch's trial indices.
 
     Module-level (not a closure or bound method) so the process pool
@@ -93,7 +96,8 @@ def run_chunk(
     this function too, which is what makes remote execution
     byte-identical to local.  Batch-engine specs advance the whole
     slice in one vectorized call; per-trial seeds are pure hashes
-    either way, so the two paths chunk identically.
+    either way, so the two paths chunk identically.  A repeated index
+    raises ``ConfigurationError`` on every engine.
 
     ``attempt`` is the chunk's retry ordinal.  It feeds only the chaos
     hook (so injected faults can be transient) — trial outcomes are
@@ -101,9 +105,38 @@ def run_chunk(
     depend on it.
     """
     inject_chunk_faults(indices, attempt)
-    if spec.engine in (ENGINE_BATCH, ENGINE_BATCH2D):
-        return run_spec_batch(spec, indices, base_seed)
-    return [run_spec_trial(spec, i, base_seed) for i in indices]
+    return run_spec_chunk(spec, indices, base_seed)
+
+
+def run_chunk(
+    spec: TrialSpec,
+    base_seed: int,
+    indices: Sequence[int],
+    attempt: int = 0,
+) -> List[TrialOutcome]:
+    """:func:`run_chunk_columns` as ``TrialOutcome`` records."""
+    return run_chunk_columns(spec, base_seed, indices, attempt).to_outcomes()
+
+
+def chunk_indices(
+    indices: Sequence[int],
+    total: int,
+    workers: int,
+    chunk_size: Optional[int] = None,
+) -> List[List[int]]:
+    """Split ``indices`` into chunks, sized off the *full* batch.
+
+    ``chunk_size`` trials per chunk, or by default about ``4 *
+    workers`` chunks per batch so stragglers rebalance.  Sizing off
+    ``total`` (not ``len(indices)``) keeps chunk geometry — and so the
+    ledger's document names — identical between a fresh run and a
+    resumed one that only recomputes a remainder.
+    """
+    size = chunk_size
+    if size is None:
+        size = max(1, -(-total // (workers * 4)))
+    ordered = sorted(indices)
+    return [ordered[i : i + size] for i in range(0, len(ordered), size)]
 
 
 def _render_error(exc: BaseException) -> str:
@@ -170,12 +203,12 @@ class Executor:
             ),
         }
 
-    def run_outcomes(self, batch: TrialBatch) -> List[TrialOutcome]:
-        """All outcomes of ``batch``, from cache when possible.
+    def run_columns(self, batch: TrialBatch) -> OutcomeColumns:
+        """All outcomes of ``batch`` in trial order, from cache when possible.
 
-        A quarantined chunk leaves its trials out of the returned list
-        (see the batch's :class:`BatchReport`); only complete batches
-        are written to the final cache document.
+        A quarantined chunk leaves its trials out of the returned
+        columns (see the batch's :class:`BatchReport`); only complete
+        batches are written to the final cache document.
         """
         report = BatchReport(
             label=batch.label, batch_key=batch.batch_key(), trials=batch.trials
@@ -191,11 +224,14 @@ class Executor:
                 self.cache_hits += 1
                 return cached
             self.cache_misses += 1
-        outcomes = self._execute(batch, report)
-        outcomes.sort(key=lambda o: o.trial_index)
-        if self.cache is not None and len(outcomes) == batch.trials:
-            self.cache.store(batch, outcomes)
-        return outcomes
+        columns = self._execute(batch, report).sorted()
+        if self.cache is not None and len(columns) == batch.trials:
+            self.cache.store(batch, columns)
+        return columns
+
+    def run_outcomes(self, batch: TrialBatch) -> List[TrialOutcome]:
+        """:meth:`run_columns` as ``TrialOutcome`` records."""
+        return self.run_columns(batch).to_outcomes()
 
     def run_batch(self, batch: TrialBatch) -> "TrialStats":
         """Run ``batch`` and aggregate into ``TrialStats``."""
@@ -203,8 +239,8 @@ class Executor:
         # and trial modules, so a top-level import would be circular.
         from repro.harness.runner import TrialStats
 
-        return TrialStats.from_outcomes(
-            self.run_outcomes(batch),
+        return TrialStats.from_columns(
+            self.run_columns(batch),
             engine_kind=batch.spec.engine,
             expected_trials=batch.trials,
         )
@@ -215,18 +251,23 @@ class Executor:
 
     def _execute(
         self, batch: TrialBatch, report: BatchReport
-    ) -> List[TrialOutcome]:
+    ) -> OutcomeColumns:
         raise NotImplementedError
 
     def _load_partial(
         self, batch: TrialBatch, report: BatchReport
-    ) -> Dict[int, TrialOutcome]:
-        """Salvage checkpointed chunks of an interrupted earlier run."""
-        if self.cache is None:
-            return {}
-        salvaged, valid_docs = self.cache.load_partial(batch)
-        report.resumed_chunks += valid_docs
-        return salvaged
+    ) -> Tuple[OutcomeColumns, List[int]]:
+        """Salvage an interrupted earlier run's ledger.
+
+        Returns ``(salvaged columns, trial indices still missing)``.
+        """
+        salvaged = OutcomeColumns.empty()
+        if self.cache is not None:
+            salvaged, valid_docs = self.cache.load_partial(batch)
+            report.resumed_chunks += valid_docs
+        have = np.zeros(batch.trials, dtype=bool)
+        have[salvaged.arrays["trial_index"]] = True
+        return salvaged, np.flatnonzero(~have).tolist()
 
     def _run_with_retry(
         self,
@@ -236,22 +277,22 @@ class Executor:
         *,
         checkpoint: bool = False,
         start_attempt: int = 0,
-    ) -> List[TrialOutcome]:
+    ) -> OutcomeColumns:
         """Run one chunk in-process under the retry policy.
 
-        Returns the chunk's outcomes, or ``[]`` after quarantining it.
+        Returns the chunk's columns, or empty ones after quarantining it.
         ``start_attempt`` carries over attempts already charged by a
         pool-side failure (it also keeps already-fired chaos faults
         from re-firing in the parent process).
         """
         indices = sorted(indices)
         if not indices:
-            return []
+            return OutcomeColumns.empty()
         scope = f"{batch.batch_key()}:{indices[0]}"
         attempt = start_attempt
         while True:
             try:
-                outcomes = run_chunk(
+                columns = run_chunk_columns(
                     batch.spec, batch.base_seed, indices, attempt
                 )
             except Exception as exc:
@@ -265,15 +306,15 @@ class Executor:
                             error=_render_error(exc),
                         )
                     )
-                    return []
+                    return OutcomeColumns.empty()
                 report.retries += 1
                 delay = self.retry.delay(scope, attempt - 1)
                 if delay > 0:
                     time.sleep(delay)
             else:
                 if checkpoint and self.cache is not None:
-                    self.cache.store_chunk(batch, indices, outcomes)
-                return outcomes
+                    self.cache.store_chunk(batch, indices, columns)
+                return columns
 
     def close(self) -> None:
         """Release any worker resources (no-op for serial execution)."""
@@ -289,20 +330,20 @@ class SerialExecutor(Executor):
     """In-process, in-order execution — the zero-dependency baseline.
 
     Every missing index runs as one chunk, so there is no ledger
-    checkpoint: the chunk *is* the batch, and :meth:`run_outcomes`
+    checkpoint: the chunk *is* the batch, and :meth:`run_columns`
     writes it as the batch document straight after.  (A ledger left by
     an interrupted multi-chunk run is still salvaged.)
     """
 
     def _execute(
         self, batch: TrialBatch, report: BatchReport
-    ) -> List[TrialOutcome]:
-        salvaged = self._load_partial(batch, report)
-        outcomes = list(salvaged.values())
-        missing = [i for i in range(batch.trials) if i not in salvaged]
-        if missing:
-            outcomes.extend(self._run_with_retry(batch, missing, report))
-        return outcomes
+    ) -> OutcomeColumns:
+        salvaged, missing = self._load_partial(batch, report)
+        if not missing:
+            return salvaged
+        return OutcomeColumns.concat(
+            [salvaged, self._run_with_retry(batch, missing, report)]
+        )
 
 
 class ParallelExecutor(Executor):
@@ -371,45 +412,30 @@ class ParallelExecutor(Executor):
         report.pool_rebuilds += 1
         return self._ensure_pool()
 
-    def _chunk_indices(
-        self, indices: Sequence[int], total: int
-    ) -> List[List[int]]:
-        """Split ``indices`` into chunks, sized off the *full* batch.
-
-        Sizing off ``total`` (not ``len(indices)``) keeps chunk
-        geometry identical between a fresh run and a resumed one that
-        only recomputes a remainder.
-        """
-        size = self.chunk_size
-        if size is None:
-            size = max(1, -(-total // (self.workers * 4)))
-        ordered = sorted(indices)
-        return [ordered[i : i + size] for i in range(0, len(ordered), size)]
-
     def _execute(
         self, batch: TrialBatch, report: BatchReport
-    ) -> List[TrialOutcome]:
-        salvaged = self._load_partial(batch, report)
-        outcomes = list(salvaged.values())
-        missing = [i for i in range(batch.trials) if i not in salvaged]
+    ) -> OutcomeColumns:
+        salvaged, missing = self._load_partial(batch, report)
         if not missing:
-            return outcomes
-        chunks = self._chunk_indices(missing, batch.trials)
+            return salvaged
+        chunks = chunk_indices(
+            missing, batch.trials, self.workers, self.chunk_size
+        )
         if len(chunks) <= 1:
             # Not worth a round-trip through the pool.  A single chunk
             # is the rest of the batch, so (as in the serial executor)
             # the batch document is its only write.
-            outcomes.extend(self._run_with_retry(batch, chunks[0], report))
-            return outcomes
-        outcomes.extend(self._collect(batch, chunks, report))
-        return outcomes
+            computed = [self._run_with_retry(batch, chunks[0], report)]
+        else:
+            computed = self._collect(batch, chunks, report)
+        return OutcomeColumns.concat([salvaged] + computed)
 
     def _collect(
         self,
         batch: TrialBatch,
         chunks: List[List[int]],
         report: BatchReport,
-    ) -> List[TrialOutcome]:
+    ) -> List[OutcomeColumns]:
         """Fan chunks out to the pool and gather them as they finish.
 
         The event loop: submit every runnable chunk, wait for the
@@ -426,7 +452,7 @@ class ParallelExecutor(Executor):
         retry = self.retry
         key = batch.batch_key()
         attempts = [0] * len(chunks)
-        collected: List[TrialOutcome] = []
+        collected: List[OutcomeColumns] = []
         to_submit = list(range(len(chunks)))
         pending: Dict[concurrent.futures.Future, int] = {}
         pool_failures = 0
@@ -462,7 +488,7 @@ class ParallelExecutor(Executor):
                         time.sleep(delay)
                 for cid in to_submit:
                     future = pool.submit(
-                        run_chunk,
+                        run_chunk_columns,
                         batch.spec,
                         batch.base_seed,
                         chunks[cid],
@@ -498,7 +524,7 @@ class ParallelExecutor(Executor):
                 for future in done:
                     cid = pending.pop(future)
                     try:
-                        chunk_outcomes = future.result()
+                        chunk_columns = future.result()
                     except concurrent.futures.BrokenExecutor as exc:
                         broken = True
                         broken_error = _render_error(exc)
@@ -509,10 +535,10 @@ class ParallelExecutor(Executor):
                             to_submit.append(cid)
                     else:
                         completed_ok = True
-                        collected.extend(chunk_outcomes)
+                        collected.append(chunk_columns)
                         if self.cache is not None:
                             self.cache.store_chunk(
-                                batch, chunks[cid], chunk_outcomes
+                                batch, chunks[cid], chunk_columns
                             )
                 if broken:
                     # The pool died.  Which chunk killed it is
@@ -530,7 +556,7 @@ class ParallelExecutor(Executor):
                     if pool_failures >= retry.pool_failure_limit:
                         report.degraded_to_serial = True
                         for cid in sorted(to_submit):
-                            collected.extend(
+                            collected.append(
                                 self._run_with_retry(
                                     batch,
                                     chunks[cid],

@@ -5,11 +5,14 @@
 whole execution core hands out: one trial's result record, so serial
 loops, worker processes, and the result cache all speak the same value.
 
-:func:`run_spec_trial` is the one function a worker process runs: given
-a (picklable) spec, a base seed, and a trial index, it derives the
-trial seed, builds fresh objects, executes, and returns the outcome.
-It is deliberately free of any per-batch state so outcome ``i`` never
-depends on which worker computed it or what ran before it.
+:func:`run_spec_trial` runs one trial: given a (picklable) spec, a
+base seed, and a trial index, it derives the trial seed, builds fresh
+objects, executes, and returns the outcome.  It is deliberately free of
+any per-batch state so outcome ``i`` never depends on which worker
+computed it or what ran before it.  :func:`run_spec_chunk` runs a list
+of trial indices on any engine and returns their
+:class:`~repro.harness.exec.columns.OutcomeColumns` — the form every
+executor, the cache, and the service wire pass along.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "execute_reference_trial",
     "outcomes_digest",
     "run_spec_batch",
+    "run_spec_chunk",
     "run_spec_trial",
 ]
 
@@ -71,9 +75,9 @@ def outcomes_digest(outcomes: Sequence[TrialOutcome]) -> str:
     party — the worker that computed a chunk, the executor receiving
     it, an auditor re-executing it later — derives the *same* digest
     for the same work, so a digest mismatch is proof of corruption or
-    a lie, never of nondeterminism.  The digest is taken over decoded
-    values, not raw wire bytes, so cosmetic differences such as key
-    order or extra keys in a JSON record cannot change it.  Raises
+    a lie, never of nondeterminism.  The digest is taken over the
+    canonical columns, not the bytes of a document that frames them,
+    so header fields and trial order cannot change it.  Raises
     ``ConfigurationError`` on a value the columns cannot hold.
     """
     return OutcomeColumns.from_outcomes(outcomes).digest()
@@ -174,21 +178,41 @@ def run_spec_batch(
     calls or workers — the executor contract the serial and
     process-pool paths already rely on.
     """
-    engine_cls = BATCH_ENGINES.get(spec.engine)
-    if engine_cls is None:
+    if spec.engine not in BATCH_ENGINES:
         raise ConfigurationError(
             f"spec engine is {spec.engine!r}; run_spec_batch requires "
             f"one of the vectorized kinds {sorted(BATCH_ENGINES)}"
         )
+    return _batch_columns(spec, list(trial_indices), base_seed).to_outcomes()
+
+
+def run_spec_chunk(
+    spec: TrialSpec, trial_indices: Sequence[int], base_seed: int
+) -> OutcomeColumns:
+    """Execute a list of ``spec``'s trials on its engine, as columns.
+
+    Vectorized kinds run the whole list in one engine call and encode
+    the engine's arrays directly; per-trial kinds run
+    :func:`run_spec_trial` per index.  Raises ``ConfigurationError`` on
+    a repeated index: a retrying caller that double-submitted a slice
+    would otherwise silently skew the aggregate counts downstream.
+    """
     indices = list(trial_indices)
-    if not indices:
-        return []
     if len(set(indices)) != len(indices):
-        # A retrying executor that double-submitted a slice would
-        # otherwise silently skew the aggregate counts downstream.
-        raise ConfigurationError(
-            f"duplicate trial indices in batch slice: {indices}"
-        )
+        raise ConfigurationError(f"duplicate trial indices in chunk: {indices}")
+    if spec.engine in BATCH_ENGINES:
+        return _batch_columns(spec, indices, base_seed)
+    return OutcomeColumns.from_outcomes(
+        [run_spec_trial(spec, i, base_seed) for i in indices]
+    )
+
+
+def _batch_columns(
+    spec: TrialSpec, indices: List[int], base_seed: int
+) -> OutcomeColumns:
+    """One vectorized engine call over ``indices``, encoded as columns."""
+    if not indices:
+        return OutcomeColumns.empty()
     # One spec hash per slice: spec.trial_seed would re-hash the whole
     # spec for every index, yet the scope is the same for all of them.
     scope = spec.spec_hash()
@@ -200,7 +224,7 @@ def run_spec_batch(
         ]
     else:
         inputs = build_inputs(spec, random.Random(0))
-    engine = engine_cls(
+    engine = BATCH_ENGINES[spec.engine](
         build_protocol(spec),
         build_batch_adversary(spec),
         spec.n,
@@ -208,12 +232,11 @@ def run_spec_batch(
         strict_termination=spec.strict_termination,
         fault_model=build_fault_model(spec),
     )
-    # The engine's (rounds x trials) history arrays are freed before
-    # the outcomes are materialised: only the columns are kept alive.
-    columns = OutcomeColumns.from_batch_result(
+    # The engine's (rounds x trials) history arrays are freed as soon
+    # as they are encoded: only the columns are kept alive.
+    return OutcomeColumns.from_batch_result(
         engine.run(inputs, seeds), indices, seeds
     )
-    return columns.to_outcomes()
 
 
 def run_spec_trial(

@@ -52,8 +52,10 @@ __all__ = [
 #: Bumped whenever the wire layout changes incompatibly.  Version 2:
 #: the ``/chunks`` ``chunk_digest`` is the column digest of
 #: :func:`repro.harness.exec.trial.outcomes_digest`, no longer a hash
-#: of canonical JSON records.
-WIRE_VERSION = 2
+#: of canonical JSON records.  Version 3: ``/chunks`` answers and
+#: ``/jobs/<id>/outcomes`` bodies are outcome-column documents
+#: (:mod:`repro.harness.exec.columns`), no longer JSON records.
+WIRE_VERSION = 3
 
 _PARAM_FIELDS = (
     "protocol_params",

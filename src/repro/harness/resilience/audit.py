@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.harness.exec.columns import OutcomeColumns
     from repro.harness.exec.spec import TrialSpec
-    from repro.harness.exec.trial import TrialOutcome
 
 __all__ = ["AuditPolicy", "audit_fraction_value", "reexecute_chunk"]
 
@@ -90,21 +90,18 @@ class AuditPolicy:
 
 def reexecute_chunk(
     spec: "TrialSpec", base_seed: int, indices: Sequence[int]
-) -> List["TrialOutcome"]:
+) -> "OutcomeColumns":
     """Compute a chunk's ground truth locally, bypassing chaos hooks.
 
-    The honest twin of the executor's ``run_chunk``: same engines, same
-    pure per-trial seeds, but no ``inject_chunk_faults`` call — an
-    auditor running inside a fault-injection test must still produce
-    the clean answer, otherwise the audit would convict honest workers.
+    The honest twin of the executor's ``run_chunk_columns``: same
+    engines, same pure per-trial seeds, but no ``inject_chunk_faults``
+    call — an auditor running inside a fault-injection test must still
+    produce the clean answer, otherwise the audit would convict honest
+    workers.
     """
     # Imported lazily: repro.harness.exec's __init__ pulls in the
     # executor module, which imports this package — a module-level
     # import here would be circular.
-    from repro.harness.exec.spec import ENGINE_BATCH, ENGINE_BATCH2D
-    from repro.harness.exec.trial import run_spec_batch, run_spec_trial
+    from repro.harness.exec.trial import run_spec_chunk
 
-    ordered = sorted(int(i) for i in indices)
-    if spec.engine in (ENGINE_BATCH, ENGINE_BATCH2D):
-        return run_spec_batch(spec, ordered, base_seed)
-    return [run_spec_trial(spec, i, base_seed) for i in ordered]
+    return run_spec_chunk(spec, sorted(int(i) for i in indices), base_seed)

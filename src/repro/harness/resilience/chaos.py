@@ -46,7 +46,6 @@ chaos runs are as replayable as clean ones.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
@@ -56,19 +55,20 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    List,
     Optional,
     Sequence,
     Tuple,
     Union,
 )
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.harness.exec.cache import ResultCache
+    from repro.harness.exec.columns import OutcomeColumns
     from repro.harness.exec.spec import TrialBatch
-    from repro.harness.exec.trial import TrialOutcome
 
 __all__ = [
     "CHAOS_ENV",
@@ -287,40 +287,43 @@ def inject_chunk_faults(
 
 
 def corrupt_outcomes(
-    outcomes: List["TrialOutcome"],
+    columns: "OutcomeColumns",
     indices: Sequence[int],
     attempt: int,
     plan: Optional[FaultPlan] = None,
-) -> List["TrialOutcome"]:
+) -> "OutcomeColumns":
     """Byzantine hook: falsify targeted outcomes of a computed chunk.
 
-    Returns a new list in which each trial targeted by a firing
+    Returns new columns in which each trial targeted by a firing
     ``corrupt-outcomes`` fault has its ``rounds`` inflated by one and
-    its verdict (when present) negated — records that parse, validate,
-    and store perfectly well, they are just *wrong*.  This is the lie
-    outcome attestation cannot catch on receipt (the digest is computed
-    over the lie) and audit re-execution exists to catch.  With no
-    firing fault the input list is returned unchanged.
+    its verdict's ``agreement`` (when a verdict is present) negated —
+    outcomes that decode, validate, and store perfectly well, they are
+    just *wrong*.  This is the lie outcome attestation cannot catch on
+    receipt (the digest is computed over the lie) and audit
+    re-execution exists to catch.  With no firing fault the input
+    columns are returned unchanged.
     """
     if plan is None:
         plan = FaultPlan.from_env()
         if plan is None:
-            return outcomes
+            return columns
     firing = plan.outcome_faults(indices, attempt)
     if not firing:
-        return outcomes
-    targets = {f.trial for f in firing}
-    falsified = []
-    for outcome in outcomes:
-        if outcome.trial_index in targets:
-            verdict = outcome.verdict
-            if verdict is not None:
-                verdict = dict(verdict, agreement=not verdict["agreement"])
-            outcome = dataclasses.replace(
-                outcome, rounds=outcome.rounds + 1, verdict=verdict
-            )
-        falsified.append(outcome)
-    return falsified
+        return columns
+    # Imported lazily: repro.harness.exec's __init__ pulls in the
+    # executor module, which imports this package.
+    from repro.harness.exec.columns import OutcomeColumns
+
+    arrays = columns.arrays
+    targets = np.isin(arrays["trial_index"], [f.trial for f in firing])
+    negate = targets & arrays["verdict_present"]
+    return OutcomeColumns(
+        dict(
+            arrays,
+            rounds=arrays["rounds"] + targets,
+            verdict_agreement=arrays["verdict_agreement"] ^ negate,
+        )
+    )
 
 
 def _corrupt(path: Path) -> bool:

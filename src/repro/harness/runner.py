@@ -107,26 +107,68 @@ class TrialStats:
 
         ``expected_trials`` (when known — executors pass the batch's
         trial count) records any shortfall in ``missing_trials``.
+        Raises ``ConfigurationError`` on an outcome the columns of
+        :meth:`from_columns` cannot hold.
         """
-        stats = cls(engine_kind=engine_kind)
-        count = 0
-        for outcome in sorted(outcomes, key=lambda o: o.trial_index):
-            stats.append(outcome)
-            count += 1
-        if expected_trials is not None and count < expected_trials:
-            stats.missing_trials = expected_trials - count
-        return stats
+        return cls.from_columns(
+            OutcomeColumns.from_outcomes(list(outcomes)),
+            engine_kind=engine_kind,
+            expected_trials=expected_trials,
+        )
 
-    def append(self, outcome: TrialOutcome) -> None:
-        """Fold one trial outcome into the aggregate."""
-        if outcome.timeout:
-            self.timeouts += 1
-        self.decision_rounds.append(outcome.effective_round)
-        self.crashes.append(outcome.crashes)
-        self.decisions.append(outcome.decision)
-        verdict = outcome.verdict_obj()
-        if verdict is not None:
-            self.verdicts.append(verdict)
+    @classmethod
+    def from_columns(
+        cls,
+        columns: OutcomeColumns,
+        *,
+        engine_kind: str,
+        expected_trials: Optional[int] = None,
+    ) -> "TrialStats":
+        """Aggregate outcome columns (in trial-index order), making no records.
+
+        Trials that hit the horizon undecided contribute ``rounds`` to
+        ``decision_rounds`` (:attr:`TrialOutcome.effective_round`).
+        """
+        a = {
+            name: arr.tolist()
+            for name, arr in columns.sorted().arrays.items()
+            if not name.endswith("_values")
+        }
+        stats = cls(
+            decision_rounds=[
+                d if p else r
+                for d, p, r in zip(
+                    a["decision_round"], a["decision_round_present"], a["rounds"]
+                )
+            ],
+            crashes=a["crashes"],
+            decisions=[
+                d if p else None
+                for d, p in zip(a["decision"], a["decision_present"])
+            ],
+            verdicts=[
+                Verdict(
+                    agreement=agreement,
+                    validity=validity,
+                    termination=termination,
+                    decision=decision if decided else None,
+                )
+                for present, agreement, validity, termination, decided, decision in zip(
+                    a["verdict_present"],
+                    a["verdict_agreement"],
+                    a["verdict_validity"],
+                    a["verdict_termination"],
+                    a["verdict_decision_present"],
+                    a["verdict_decision"],
+                )
+                if present
+            ],
+            timeouts=sum(a["timeout"]),
+            engine_kind=engine_kind,
+        )
+        if expected_trials is not None and len(columns) < expected_trials:
+            stats.missing_trials = expected_trials - len(columns)
+        return stats
 
     @property
     def checked(self) -> bool:
@@ -271,10 +313,10 @@ def run_fast_trials(
             max_rounds=max_rounds,
             strict_termination=False,
         )
-        outcomes = OutcomeColumns.from_batch_result(
+        columns = OutcomeColumns.from_batch_result(
             engine.run(inputs, seeds), range(len(seeds)), seeds
-        ).to_outcomes()
-        return TrialStats.from_outcomes(outcomes, engine_kind=engine_kind)
+        )
+        return TrialStats.from_columns(columns, engine_kind=engine_kind)
     outcomes = []
     for index, seed in zip(range(trials), seeds):
         inputs = inputs_factory(random.Random(seed ^ _INPUT_STREAM_MASK))

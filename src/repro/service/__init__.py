@@ -6,7 +6,7 @@ determines the bytes of its results.  This package lifts that contract
 onto the network:
 
 * :mod:`repro.service.netio` — the stdlib-only asyncio HTTP substrate
-  (server, routing, SSE streaming, blocking JSON client helpers).
+  (server, routing, SSE streaming, blocking client helpers).
 * :mod:`repro.service.jobs` — :class:`JobManager`: plan-key dedup,
   coalescing of identical in-flight submissions, per-chunk progress
   observation, and bounded admission (oldest-finished eviction, 429

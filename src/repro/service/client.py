@@ -1,8 +1,9 @@
 """ServiceClient: the blocking client side of the sweep server.
 
-A thin, dependency-free wrapper over the JSON endpoints of
+A thin, dependency-free wrapper over the endpoints of
 :mod:`repro.service.server` — submit a plan, poll or stream its
-progress, and fetch results.  ``repro submit`` is built on this, and
+progress, and fetch results (decoded from the server's outcome
+columns into plain records).  ``repro submit`` is built on this, and
 the differential tests drive servers through it.
 
 The client is deliberately stateless: every method takes the job id
@@ -17,8 +18,9 @@ import json
 import time
 from typing import Any, Dict, Iterator, Optional
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.harness.exec import ExecutionPlan, plan_to_wire
+from repro.harness.exec.columns import unpack_documents
 from repro.service.netio import ServiceUnreachable, request_json, stream_lines
 
 __all__ = ["ServiceClient", "SubmitReceipt"]
@@ -40,7 +42,7 @@ class ServiceClient:
 
     Args:
         base_url: The server's base URL (``http://host:port``).
-        timeout: Per-request timeout in seconds for the JSON calls
+        timeout: Per-request timeout in seconds for the plain requests
             (streaming uses its own, much longer, read timeout).
     """
 
@@ -82,8 +84,39 @@ class ServiceClient:
         return self._get(f"/jobs/{job_id}")
 
     def outcomes(self, job_id: str) -> Dict[str, Any]:
-        """Full per-trial outcomes of a finished job."""
-        return self._get(f"/jobs/{job_id}/outcomes")
+        """Full per-trial outcomes of a finished job.
+
+        Returns ``{"job_id", "plan_key", "batches": [{"label",
+        "batch_key", "outcomes": [record, ...]}, ...]}`` with one
+        :meth:`TrialOutcome.to_jsonable
+        <repro.harness.exec.columns.TrialOutcome.to_jsonable>` record
+        per trial, decoded from the server's column documents.  A body
+        that does not decode raises :class:`ReproError`.
+        """
+        body = self._get(f"/jobs/{job_id}/outcomes")
+        try:
+            if not isinstance(body, bytes):
+                raise ConfigurationError("not an outcome-columns body")
+            documents = unpack_documents(body)
+            if not documents:
+                raise ConfigurationError("no batch documents")
+            first = documents[0][0]
+            return {
+                "job_id": first["job_id"],
+                "plan_key": first["plan_key"],
+                "batches": [
+                    {
+                        "label": header["label"],
+                        "batch_key": header["batch_key"],
+                        "outcomes": [o.to_jsonable() for o in columns.to_outcomes()],
+                    }
+                    for header, columns in documents
+                ],
+            }
+        except (ConfigurationError, KeyError) as exc:
+            raise ReproError(
+                f"job {job_id} outcomes body is malformed: {exc}"
+            ) from exc
 
     def events(self, job_id: str) -> Iterator[Dict[str, Any]]:
         """Stream the job's SSE progress events as parsed documents.

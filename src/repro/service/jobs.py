@@ -41,17 +41,18 @@ from __future__ import annotations
 import concurrent.futures
 import inspect
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
 from repro.harness.exec import (
     ExecutionPlan,
     Executor,
+    OutcomeColumns,
     ResultCache,
     TrialBatch,
-    TrialOutcome,
     plan_key,
 )
+from repro.harness.exec.columns import pack_document, pack_documents
 from repro.harness.exec.wire import plan_from_wire, plan_to_wire
 from repro.harness.runner import TrialStats
 from repro.service.journal import JobJournal
@@ -96,7 +97,7 @@ class Job:
         self.cache_misses = 0
         self.resilience: Dict[str, Any] = {}
         self._results: List[Dict[str, Any]] = []
-        self._outcomes: List[Dict[str, Any]] = []
+        self._documents: List[bytes] = []  # one column document per batch
         self._stats: List[TrialStats] = []
         self._trials_done = 0  # trials of completed batches
         self._chunk_trials = 0  # checkpointed trials of the running batch
@@ -119,10 +120,22 @@ class Job:
         self,
         batch: TrialBatch,
         stats: TrialStats,
-        outcomes: Sequence[TrialOutcome],
+        columns: OutcomeColumns,
     ) -> None:
-        """One batch of the plan completed."""
+        """One batch of the plan completed.
+
+        Its outcomes are packed here, once, into the column document
+        ``GET /jobs/<id>/outcomes`` serves; the job keeps those bytes,
+        not the columns or any records.
+        """
         summary = stats.rounds_summary()
+        header = {
+            "job_id": self.job_id,
+            "plan_key": self.key,
+            "label": batch.label,
+            "batch_key": batch.batch_key(),
+        }
+        document = b"".join(pack_document(header, columns))
         with self._lock:
             self._trials_done += batch.trials
             self._chunk_trials = 0
@@ -141,13 +154,7 @@ class Job:
                     "engine": stats.engine_kind,
                 }
             )
-            self._outcomes.append(
-                {
-                    "label": batch.label,
-                    "batch_key": batch.batch_key(),
-                    "outcomes": [o.to_jsonable() for o in outcomes],
-                }
-            )
+            self._documents.append(document)
             self._bump()
 
     def finish(self, executor: Executor, error: Optional[str]) -> None:
@@ -223,18 +230,20 @@ class Job:
                 doc["results"] = list(self._results)
             return doc
 
-    def outcomes_doc(self) -> Dict[str, Any]:
-        """The full per-trial results of a finished job."""
+    def outcomes_doc(self) -> bytes:
+        """The full per-trial results of a finished job.
+
+        The body ``GET /jobs/<id>/outcomes`` serves:
+        :func:`~repro.harness.exec.columns.pack_documents` over one
+        column document per batch, in plan order, each header carrying
+        ``job_id``, ``plan_key``, ``label``, and ``batch_key``.
+        """
         with self._lock:
             if self.state != JOB_DONE:
                 raise ConfigurationError(
                     f"job {self.job_id} is {self.state}, not done"
                 )
-            return {
-                "job_id": self.job_id,
-                "plan_key": self.key,
-                "batches": list(self._outcomes),
-            }
+            return pack_documents(self._documents)
 
 
 class _ObservedCache(ResultCache):
@@ -250,8 +259,8 @@ class _ObservedCache(ResultCache):
         super().__init__(root)
         self._job = job
 
-    def store_chunk(self, batch, indices, outcomes):  # type: ignore[override]
-        path = super().store_chunk(batch, indices, outcomes)
+    def store_chunk(self, batch, indices, columns):  # type: ignore[override]
+        path = super().store_chunk(batch, indices, columns)
         self._job.note_chunk(len(indices))
         return path
 
@@ -467,13 +476,13 @@ class JobManager:
                 self._journal.record_state(job.key, JOB_RUNNING)
             with executor:
                 for index, batch in enumerate(job.plan):
-                    outcomes = executor.run_outcomes(batch)
-                    stats = TrialStats.from_outcomes(
-                        outcomes,
+                    columns = executor.run_columns(batch)
+                    stats = TrialStats.from_columns(
+                        columns,
                         engine_kind=batch.spec.engine,
                         expected_trials=batch.trials,
                     )
-                    job.note_batch(batch, stats, outcomes)
+                    job.note_batch(batch, stats, columns)
                     if self._journal is not None:
                         self._journal.record_batch(
                             job.key, index, batch.batch_key()

@@ -8,10 +8,12 @@ responses, close-delimited SSE streams) plus the blocking
 and the tests use to talk to it.
 
 Scope is exactly what :mod:`repro.service` needs — JSON request/
-response bodies sized by ``Content-Length``, one request per
-connection (``Connection: close``), and ``text/event-stream``
-responses written incrementally from an async iterator.  It is not a
-general web framework and does not try to be one.
+response bodies sized by ``Content-Length``, binary outcome-column
+bodies (:data:`COLUMNS_CONTENT_TYPE`) passed through as raw bytes, one
+request per connection (``Connection: close``), and
+``text/event-stream`` responses written incrementally from an async
+iterator.  It is not a general web framework and does not try to be
+one.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from repro.errors import ReproError
 
 __all__ = [
     "App",
+    "COLUMNS_CONTENT_TYPE",
     "HttpError",
     "Request",
     "Response",
@@ -47,6 +50,10 @@ __all__ = [
     "request_json",
     "stream_lines",
 ]
+
+#: Content type of a body holding packed outcome-column documents
+#: (:mod:`repro.harness.exec.columns`) rather than JSON.
+COLUMNS_CONTENT_TYPE = "application/x-repro-columns"
 
 #: Upper bound on request head + body sizes the server will accept.
 _MAX_HEAD_BYTES = 64 * 1024
@@ -102,9 +109,11 @@ class Request:
 class Response:
     """What a handler returns.
 
-    ``payload`` (a JSON-able value) is the common case; ``stream`` is
-    an async iterator of already-formatted SSE strings, written
-    incrementally on a close-delimited ``text/event-stream`` response.
+    ``payload`` (a JSON-able value) is the common case; with any
+    other ``content_type`` it is written as is when it is ``bytes``
+    (column documents) and as text otherwise.  ``stream`` is an async
+    iterator of already-formatted SSE strings, written incrementally
+    on a close-delimited ``text/event-stream`` response.
     """
 
     status: int = 200
@@ -217,6 +226,8 @@ async def _write_response(
         return
     if response.content_type == "application/json":
         body = json.dumps(response.payload, sort_keys=True).encode("utf-8")
+    elif isinstance(response.payload, bytes):
+        body = response.payload
     else:
         body = str(response.payload).encode("utf-8")
     writer.write(_head_bytes(response.status, response.content_type, len(body)))
@@ -353,19 +364,21 @@ def request_json(
     payload: Any = None,
     timeout: float = 30.0,
 ) -> Tuple[int, Any]:
-    """Blocking JSON round trip to ``base_url`` + ``path``.
+    """Blocking round trip to ``base_url`` + ``path``; the request is JSON.
 
-    Returns ``(status, parsed body)``.  Transport-level failures
-    (refused connection, timeout, non-JSON body) raise
-    :class:`ServiceUnreachable`; HTTP-level errors are returned as
-    their status code so callers can distinguish "worker said no" from
-    "worker is gone".
+    Returns ``(status, parsed body)``, or ``(status, raw bytes)`` when
+    the response is a :data:`COLUMNS_CONTENT_TYPE` body (decoding
+    those is the caller's job).  Transport-level failures (refused
+    connection, timeout, a body that is neither JSON nor columns)
+    raise :class:`ServiceUnreachable`; HTTP-level errors are returned
+    as their status code so callers can distinguish "worker said no"
+    from "worker is gone".
     """
     host, port = _split_base(base_url)
     conn = http.client.HTTPConnection(host, port, timeout=timeout)
     try:
         body = None
-        headers = {"Accept": "application/json"}
+        headers = {"Accept": f"application/json, {COLUMNS_CONTENT_TYPE}"}
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
@@ -377,6 +390,8 @@ def request_json(
             raise ServiceUnreachable(
                 f"{method} {base_url}{path} failed: {exc}"
             ) from exc
+        if response.getheader("Content-Type") == COLUMNS_CONTENT_TYPE:
+            return response.status, raw
         if not raw:
             return response.status, None
         try:

@@ -6,7 +6,7 @@ executors — sweeps, experiments, the sweep server's jobs — runs
 unchanged across a fleet of :mod:`repro.service.worker` processes.
 
 The determinism contract carries over untouched: a worker executes
-exactly :func:`repro.harness.exec.run_chunk` on the wire-decoded spec,
+exactly :func:`repro.harness.exec.run_chunk_columns` on the wire-decoded spec,
 per-trial seeds are pure ``(base_seed, spec_hash, trial_index)``
 hashes, and collected outcomes are re-sorted by trial index — so
 remote execution is byte-identical to local at any worker count,
@@ -28,11 +28,15 @@ Failure handling layers three defences on the PR-5 resilience policy:
   whose breaker has opened ``pool_failure_limit`` times is permanently
   out.  When every endpoint is permanently out the remaining chunks
   degrade to in-process execution (``BatchReport.degraded_to_serial``).
-* **Outcome attestation** — every ``/chunks`` response carries the
-  worker's ``chunk_digest`` (:func:`~repro.harness.exec.trial.
-  outcomes_digest`); the executor recomputes it over the received
-  outcomes, so transport corruption or an *inconsistent* lie is
-  rejected on receipt and charged as an ordinary worker failure.
+* **Outcome attestation** — every ``/chunks`` response is one
+  outcome-column document whose header carries the worker's
+  ``chunk_digest`` (:meth:`~repro.harness.exec.columns.OutcomeColumns.
+  digest`); the executor decodes the document, checks its trial
+  indices, and recomputes the digest over the received columns, so
+  transport corruption, a malformed body, or an *inconsistent* lie is
+  rejected on receipt and charged as an ordinary worker failure.  The
+  checked columns go to the cache ledger as they are: no
+  ``TrialOutcome`` is made on this path.
 * **Audit re-execution** — a deterministic, plan-keyed sample of
   completed chunks (:class:`~repro.harness.resilience.audit.
   AuditPolicy`) is recomputed locally; a digest mismatch proves the
@@ -55,10 +59,12 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import ConfigurationError
-from repro.harness.exec import ResultCache, TrialBatch, TrialOutcome
-from repro.harness.exec.executor import Executor, _render_error
-from repro.harness.exec.trial import outcomes_digest
+from repro.harness.exec import ResultCache, TrialBatch
+from repro.harness.exec.columns import OutcomeColumns, unpack_document
+from repro.harness.exec.executor import Executor, _render_error, chunk_indices
 from repro.harness.exec.wire import WIRE_VERSION, spec_to_wire
 from repro.harness.resilience import (
     BatchReport,
@@ -168,17 +174,6 @@ class RemoteExecutor(Executor):
             fraction=audit_fraction, seed=audit_seed or ""
         )
 
-    # -- chunk geometry (identical sizing rule to ParallelExecutor) ----
-
-    def _chunk_indices(
-        self, indices: Sequence[int], total: int
-    ) -> List[List[int]]:
-        size = self.chunk_size
-        if size is None:
-            size = max(1, -(-total // (len(self.endpoints) * 4)))
-        ordered = sorted(indices)
-        return [ordered[i : i + size] for i in range(0, len(ordered), size)]
-
     # -- one worker round trip ----------------------------------------
 
     def _post_chunk(
@@ -187,7 +182,7 @@ class RemoteExecutor(Executor):
         batch: TrialBatch,
         indices: Sequence[int],
         attempt: int,
-    ) -> List[TrialOutcome]:
+    ) -> OutcomeColumns:
         """Execute one chunk on ``endpoint``; raises on any defect."""
         payload = {
             "wire": WIRE_VERSION,
@@ -196,7 +191,7 @@ class RemoteExecutor(Executor):
             "indices": list(indices),
             "attempt": attempt,
         }
-        status, doc = request_json(
+        status, body = request_json(
             endpoint.url,
             "POST",
             "/chunks",
@@ -204,56 +199,66 @@ class RemoteExecutor(Executor):
             timeout=self.request_timeout,
         )
         if status != 200:
-            detail = doc.get("error") if isinstance(doc, dict) else doc
+            detail = body.get("error") if isinstance(body, dict) else body
             raise ServiceUnreachable(
                 f"worker {endpoint.url} returned {status}: {detail}"
             )
-        if not isinstance(doc, dict) or not isinstance(
-            doc.get("outcomes"), list
-        ):
+        if not isinstance(body, bytes):
             raise ServiceUnreachable(
-                f"worker {endpoint.url} returned a malformed chunk document"
+                f"worker {endpoint.url} did not answer with outcome columns"
             )
-        outcomes = [
-            TrialOutcome.from_jsonable(rec) for rec in doc["outcomes"]
-        ]
-        if sorted(o.trial_index for o in outcomes) != sorted(indices):
+        try:
+            header, columns = unpack_document(body)
+        except ConfigurationError as exc:
+            raise ServiceUnreachable(
+                f"worker {endpoint.url} returned a malformed chunk "
+                f"document: {exc}"
+            ) from exc
+        if header.get("wire") != WIRE_VERSION:
+            raise ServiceUnreachable(
+                f"worker {endpoint.url} answered in wire version "
+                f"{header.get('wire')!r}, not {WIRE_VERSION}"
+            )
+        if not np.array_equal(
+            np.sort(columns.arrays["trial_index"]), sorted(indices)
+        ):
             raise ServiceUnreachable(
                 f"worker {endpoint.url} returned outcomes for the wrong "
                 "trial indices"
             )
         # Receipt-side attestation: the claimed digest must match the
-        # outcomes actually received.  This catches transport
+        # columns actually received.  This catches transport
         # corruption and *inconsistent* lies for free; a worker lying
         # consistently (digesting its own lie) passes here and is the
         # audit layer's problem.
-        if doc.get("chunk_digest") != outcomes_digest(outcomes):
+        if header.get("chunk_digest") != columns.digest():
             raise ServiceUnreachable(
                 f"worker {endpoint.url} attestation failed: chunk_digest "
                 "does not match the returned outcomes"
             )
-        return outcomes
+        return columns
 
     # -- the scheduler -------------------------------------------------
 
     def _execute(
         self, batch: TrialBatch, report: BatchReport
-    ) -> List[TrialOutcome]:
-        salvaged = self._load_partial(batch, report)
-        outcomes = list(salvaged.values())
-        missing = [i for i in range(batch.trials) if i not in salvaged]
+    ) -> OutcomeColumns:
+        salvaged, missing = self._load_partial(batch, report)
         if not missing:
-            return outcomes
-        chunks = self._chunk_indices(missing, batch.trials)
-        outcomes.extend(self._collect(batch, chunks, report))
-        return outcomes
+            return salvaged
+        chunks = chunk_indices(
+            missing, batch.trials, len(self.endpoints), self.chunk_size
+        )
+        return OutcomeColumns.concat(
+            [salvaged] + self._collect(batch, chunks, report)
+        )
 
     def _collect(
         self,
         batch: TrialBatch,
         chunks: List[List[int]],
         report: BatchReport,
-    ) -> List[TrialOutcome]:
+    ) -> List[OutcomeColumns]:
         """Dispatch chunks across endpoints until done or degraded.
 
         One dispatcher thread per endpoint pulls chunk ids off a shared
@@ -269,7 +274,7 @@ class RemoteExecutor(Executor):
         retry = self.retry
         key = batch.batch_key()
         attempts = [0] * len(chunks)
-        results: Dict[int, List[TrialOutcome]] = {}
+        results: Dict[int, OutcomeColumns] = {}
         completed_by: Dict[str, List[int]] = {}
         work: "queue.Queue[Optional[int]]" = queue.Queue()
         for cid in range(len(chunks)):
@@ -278,15 +283,15 @@ class RemoteExecutor(Executor):
         outstanding = [len(chunks)]  # chunks not yet collected/quarantined
 
         def settle_one(
-            cid: int, chunk_outcomes: Optional[List[TrialOutcome]]
+            cid: int, chunk_columns: Optional[OutcomeColumns]
         ) -> None:
             """Mark one chunk finished (collected or quarantined).
 
             Caller holds ``state``.  Settling the last chunk wakes
             every dispatcher with one sentinel each.
             """
-            if chunk_outcomes is not None:
-                results[cid] = chunk_outcomes
+            if chunk_columns is not None:
+                results[cid] = chunk_columns
             outstanding[0] -= 1
             if outstanding[0] <= 0:
                 for _ in threads:
@@ -336,7 +341,7 @@ class RemoteExecutor(Executor):
                     if delay > 0:
                         time.sleep(delay)
                 try:
-                    chunk_outcomes = self._post_chunk(
+                    chunk_columns = self._post_chunk(
                         endpoint, batch, chunks[cid], attempt
                     )
                 except Exception as exc:
@@ -364,9 +369,7 @@ class RemoteExecutor(Executor):
                     truth = reexecute_chunk(
                         batch.spec, batch.base_seed, chunks[cid]
                     )
-                    honest = outcomes_digest(truth) == outcomes_digest(
-                        chunk_outcomes
-                    )
+                    honest = truth.digest() == chunk_columns.digest()
                     if not honest:
                         # A consistent lie, caught.  Byzantine is
                         # terminal; everything this endpoint produced
@@ -391,11 +394,11 @@ class RemoteExecutor(Executor):
                         endpoint.chunks_audited += 1
                         report.audited_chunks += 1
                 if self.cache is not None:
-                    self.cache.store_chunk(batch, chunks[cid], chunk_outcomes)
+                    self.cache.store_chunk(batch, chunks[cid], chunk_columns)
                 with state:
                     endpoint.note_success()
                     completed_by.setdefault(endpoint.url, []).append(cid)
-                    settle_one(cid, chunk_outcomes)
+                    settle_one(cid, chunk_columns)
 
         threads = [
             threading.Thread(
@@ -409,9 +412,7 @@ class RemoteExecutor(Executor):
         for thread in threads:
             thread.join()
 
-        collected: List[TrialOutcome] = []
-        for chunk_outcomes in results.values():
-            collected.extend(chunk_outcomes)
+        collected = list(results.values())
 
         # Every dispatcher exited.  Any chunk id still queued (skipping
         # the wake-up sentinels) means the whole fleet is permanently
@@ -429,7 +430,7 @@ class RemoteExecutor(Executor):
         if leftovers:
             report.degraded_to_serial = True
             for cid in sorted(leftovers):
-                collected.extend(
+                collected.append(
                     self._run_with_retry(
                         batch,
                         chunks[cid],

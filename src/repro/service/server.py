@@ -16,7 +16,10 @@ Endpoints:
 * ``GET /jobs`` — every known job's status document.
 * ``GET /jobs/<id>`` — one job's status (progress, and results +
   cache/resilience accounting once settled).
-* ``GET /jobs/<id>/outcomes`` — full per-trial outcomes (done jobs).
+* ``GET /jobs/<id>/outcomes`` — full per-trial outcomes (done jobs):
+  one outcome-column document per batch, framed by
+  :func:`~repro.harness.exec.columns.pack_documents`, content type
+  :data:`~repro.service.netio.COLUMNS_CONTENT_TYPE`.
 * ``GET /jobs/<id>/events`` — SSE: one ``data:`` event per progress
   change, final event carries the settled state.
 * ``GET /healthz`` — liveness probe with version/config info.
@@ -53,7 +56,13 @@ from repro.service.jobs import (
     ServiceSaturated,
 )
 from repro.service.journal import JobJournal
-from repro.service.netio import App, HttpError, Request, Response
+from repro.service.netio import (
+    COLUMNS_CONTENT_TYPE,
+    App,
+    HttpError,
+    Request,
+    Response,
+)
 from repro.service.remote import RemoteExecutor
 
 __all__ = ["ServerConfig", "SweepServerApp"]
@@ -240,7 +249,9 @@ class SweepServerApp:
     async def _job_outcomes(self, request: Request) -> Response:
         job = self._lookup(request)
         try:
-            return Response(payload=job.outcomes_doc())
+            return Response(
+                payload=job.outcomes_doc(), content_type=COLUMNS_CONTENT_TYPE
+            )
         except ConfigurationError as exc:
             raise HttpError(409, str(exc)) from exc
 

@@ -2,22 +2,28 @@
 
 A worker is deliberately dumb: it holds no job state, no cache, and no
 plan — it decodes a wire spec, executes exactly
-:func:`repro.harness.exec.run_chunk` on the requested trial indices,
-and returns the outcomes.  All scheduling, retry, checkpointing, and
-dedup live with the caller (:class:`~repro.service.remote.
-RemoteExecutor`), which is what lets a worker crash, restart, or be
-replaced mid-batch without losing anything: per-trial seeds are pure
-hashes of ``(base_seed, spec_hash, trial_index)``, so any worker
-computes the same bytes for the same request.
+:func:`repro.harness.exec.run_chunk_columns` on the requested trial
+indices, and returns the outcome columns.  All scheduling, retry,
+checkpointing, and dedup live with the caller
+(:class:`~repro.service.remote.RemoteExecutor`), which is what lets a
+worker crash, restart, or be replaced mid-batch without losing
+anything: per-trial seeds are pure hashes of ``(base_seed, spec_hash,
+trial_index)``, so any worker computes the same bytes for the same
+request.
 
 Endpoints:
 
-* ``POST /chunks`` — body ``{"wire": 2, "spec": <wire spec>,
-  "base_seed": int, "indices": [int, ...], "attempt": int}``;
-  responds ``{"outcomes": [<trial outcome>, ...], "chunk_digest":
-  <hex sha256>}`` where the digest is the outcome attestation
-  (:func:`repro.harness.exec.trial.outcomes_digest`) the caller
-  recomputes on receipt.
+* ``POST /chunks`` — JSON body ``{"wire": 3, "spec": <wire spec>,
+  "base_seed": int, "indices": [int, ...], "attempt": int}`` with
+  non-empty, distinct, non-negative ``indices`` (else 400); a 200
+  answers with one outcome-column document
+  (:func:`~repro.harness.exec.columns.pack_document`, content type
+  :data:`~repro.service.netio.COLUMNS_CONTENT_TYPE`) whose header is
+  ``{"wire": 3, "chunk_digest": <hex sha256>}`` — the digest is the
+  outcome attestation (:meth:`OutcomeColumns.digest
+  <repro.harness.exec.columns.OutcomeColumns.digest>`) the caller
+  recomputes over the columns it receives.  Errors answer JSON
+  ``{"error": ...}``.
 * ``GET /healthz`` — liveness probe with version info.
 
 Chunks execute off the event loop: inline on a thread (default) or on
@@ -38,18 +44,24 @@ from typing import List, Optional
 
 import repro
 from repro.errors import ConfigurationError, ReproError
-from repro.harness.exec import TrialOutcome, run_chunk, spec_from_wire
+from repro.harness.exec import run_chunk_columns, spec_from_wire
+from repro.harness.exec.columns import OutcomeColumns, pack_document
 from repro.harness.exec.spec import TrialSpec
-from repro.harness.exec.trial import outcomes_digest
 from repro.harness.exec.wire import WIRE_VERSION
 from repro.harness.resilience import (
     FaultPlan,
     corrupt_outcomes,
     inject_chunk_faults,
 )
-from repro.service.netio import App, HttpError, Request, Response
+from repro.service.netio import (
+    COLUMNS_CONTENT_TYPE,
+    App,
+    HttpError,
+    Request,
+    Response,
+)
 
-__all__ = ["WorkerApp", "execute_wire_chunk"]
+__all__ = ["WorkerApp", "chunk_document", "execute_wire_chunk"]
 
 
 def execute_wire_chunk(
@@ -58,12 +70,12 @@ def execute_wire_chunk(
     indices: List[int],
     attempt: int,
     fault_plan: Optional[FaultPlan] = None,
-) -> List[TrialOutcome]:
+) -> OutcomeColumns:
     """Run one decoded chunk, with optional explicit chaos injection.
 
     Module-level and picklable-by-name, so the worker's optional
     process pool can resolve it by import — the same discipline as the
-    executor's ``run_chunk`` (which this wraps).
+    executor's ``run_chunk_columns`` (which this wraps).
 
     This is also where a ``corrupt-outcomes`` chaos fault bites: the
     chunk computes honestly, then targeted outcomes are falsified on
@@ -73,8 +85,18 @@ def execute_wire_chunk(
     """
     if fault_plan is not None:
         inject_chunk_faults(indices, attempt, fault_plan)
-    outcomes = run_chunk(spec, base_seed, indices, attempt)
-    return corrupt_outcomes(outcomes, indices, attempt, fault_plan)
+    columns = run_chunk_columns(spec, base_seed, indices, attempt)
+    return corrupt_outcomes(columns, indices, attempt, fault_plan)
+
+
+def chunk_document(columns: OutcomeColumns) -> bytes:
+    """The body of a 200 ``/chunks`` response for ``columns``.
+
+    One column document whose header carries the wire version and the
+    attestation digest over exactly the columns it frames.
+    """
+    header = {"wire": WIRE_VERSION, "chunk_digest": columns.digest()}
+    return b"".join(pack_document(header, columns))
 
 
 class WorkerApp:
@@ -121,7 +143,7 @@ class WorkerApp:
         base_seed: int,
         indices: List[int],
         attempt: int,
-    ) -> List[TrialOutcome]:
+    ) -> OutcomeColumns:
         loop = asyncio.get_running_loop()
         if self.processes > 1:
             pool = self._ensure_pool()
@@ -186,16 +208,22 @@ class WorkerApp:
         try:
             spec = spec_from_wire(doc["spec"])
             base_seed = int(doc["base_seed"])
-            indices = [int(i) for i in doc["indices"]]
+            indices = doc["indices"]
             attempt = int(doc.get("attempt", 0))
         except ReproError as exc:
             raise HttpError(400, str(exc)) from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise HttpError(400, f"malformed chunk request: {exc}") from exc
-        if not indices:
+        if not isinstance(indices, list) or not indices:
             raise HttpError(400, "chunk request has no trial indices")
+        if any(type(i) is not int or i < 0 for i in indices):
+            raise HttpError(
+                400, "chunk trial indices must be non-negative integers"
+            )
+        if len(set(indices)) != len(indices):
+            raise HttpError(400, "chunk request repeats a trial index")
         try:
-            outcomes = await self._execute(spec, base_seed, indices, attempt)
+            columns = await self._execute(spec, base_seed, indices, attempt)
         except HttpError:
             raise
         except Exception as exc:
@@ -206,8 +234,5 @@ class WorkerApp:
             ) from exc
         self.chunks_served += 1
         return Response(
-            payload={
-                "outcomes": [o.to_jsonable() for o in outcomes],
-                "chunk_digest": outcomes_digest(outcomes),
-            }
+            payload=chunk_document(columns), content_type=COLUMNS_CONTENT_TYPE
         )

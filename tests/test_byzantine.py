@@ -29,6 +29,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.harness.exec import (
+    WIRE_VERSION,
     ExecutionPlan,
     ResultCache,
     SerialExecutor,
@@ -95,6 +96,12 @@ def start_worker(app):
     return thread
 
 
+def misattested_document(columns):
+    """A ``/chunks`` body whose ``chunk_digest`` matches nothing."""
+    header = {"wire": WIRE_VERSION, "chunk_digest": "0" * 64}
+    return b"".join(pack_document(header, columns))
+
+
 def liar_plan(trials):
     """A chaos plan that falsifies every trial on every attempt."""
     return FaultPlan(
@@ -123,7 +130,7 @@ class TestAttestation:
     def test_tampered_cache_document_is_a_miss(self, tmp_path):
         batch = small_batch()
         cache = ResultCache(tmp_path / "cache")
-        cache.store(batch, serial_outcomes(batch))
+        cache.store(batch, OutcomeColumns.from_outcomes(serial_outcomes(batch)))
         assert cache.load(batch) is not None
         path = cache.path_for(batch)
         header, columns = unpack_document(path.read_bytes())
@@ -165,16 +172,14 @@ class TestAttestation:
         executor = SerialExecutor(cache=cache)
         assert executor.run_outcomes(batch) == expected
         assert (executor.cache_hits, executor.cache_misses) == (0, 1)
-        assert cache.load(batch) == expected
+        assert cache.load(batch).to_outcomes() == expected
 
     def test_wrong_receipt_digest_is_rejected(self, monkeypatch, tmp_path):
         # A worker whose attestation does not match its outcomes is
         # treated as a failed endpoint: never trusted, results
         # recomputed locally, byte-identical to serial.
         batch = small_batch()
-        monkeypatch.setattr(
-            "repro.service.worker.outcomes_digest", lambda outcomes: "0" * 64
-        )
+        monkeypatch.setattr(worker_mod, "chunk_document", misattested_document)
         worker = WorkerApp()
         thread = start_worker(worker)
         try:
@@ -220,31 +225,23 @@ class TestAttestation:
     def test_unencodable_worker_record_is_an_endpoint_failure(
         self, monkeypatch, tmp_path, falsify
     ):
-        # A record the columns cannot hold fails the receipt digest
-        # with ConfigurationError: the endpoint is charged, the job
-        # does not crash, and the batch completes locally.
+        # A record the columns cannot hold cannot be put on the wire:
+        # the worker's encode raises ConfigurationError, the chunk
+        # answers 500, the endpoint is charged, the job does not
+        # crash, and the batch completes locally.
         batch = small_batch()
-        monkeypatch.setattr(
-            "repro.service.worker.outcomes_digest", lambda outcomes: "0" * 64
-        )
         honest = worker_mod.execute_wire_chunk
+        encode_errors = []
 
         def lying_chunk(*args, **kwargs):
-            return [falsify(o) for o in honest(*args, **kwargs)]
-
-        monkeypatch.setattr(worker_mod, "execute_wire_chunk", lying_chunk)
-        receipt_errors = []
-
-        def receipt_digest(outcomes):
+            records = [falsify(o) for o in honest(*args, **kwargs).to_outcomes()]
             try:
-                return outcomes_digest(outcomes)
+                return OutcomeColumns.from_outcomes(records)
             except ConfigurationError as exc:
-                receipt_errors.append(exc)
+                encode_errors.append(exc)
                 raise
 
-        monkeypatch.setattr(
-            "repro.service.remote.outcomes_digest", receipt_digest
-        )
+        monkeypatch.setattr(worker_mod, "execute_wire_chunk", lying_chunk)
         worker = WorkerApp()
         thread = start_worker(worker)
         try:
@@ -261,7 +258,7 @@ class TestAttestation:
         finally:
             worker.close()
             thread.stop()
-        assert receipt_errors
+        assert encode_errors
         assert outcomes == serial_outcomes(batch)
         summary = remote.worker_summary()
         assert summary[0]["quarantined"] is True
@@ -337,7 +334,7 @@ class TestByzantineDifferential:
         assert summary[0]["state"] == CircuitBreaker.BYZANTINE
         # Nothing the liar produced survived into the cache.
         cache = ResultCache(tmp_path / "cache")
-        assert [o.to_jsonable() for o in cache.load(batch)] == [
+        assert [o.to_jsonable() for o in cache.load(batch).to_outcomes()] == [
             o.to_jsonable() for o in expected
         ]
 
@@ -409,8 +406,9 @@ class TestByzantineDifferential:
     def test_corrupt_outcomes_hook_negates_verdicts(self):
         batch = small_batch(trials=3)
         truth = serial_outcomes(batch)
+        columns = OutcomeColumns.from_outcomes(truth)
         plan = FaultPlan((Fault("corrupt-outcomes", 1, times=2),))
-        lied = corrupt_outcomes(truth, [0, 1, 2], 0, plan)
+        lied = corrupt_outcomes(columns, [0, 1, 2], 0, plan).to_outcomes()
         assert lied[0] == truth[0] and lied[2] == truth[2]
         assert lied[1].rounds == truth[1].rounds + 1
         if truth[1].verdict is not None:
@@ -419,7 +417,7 @@ class TestByzantineDifferential:
                 is not truth[1].verdict["agreement"]
             )
         # Past its times budget the fault stops firing.
-        assert corrupt_outcomes(truth, [0, 1, 2], 2, plan) == truth
+        assert corrupt_outcomes(columns, [0, 1, 2], 2, plan) is columns
 
 
 # ----------------------------------------------------------------------
@@ -747,4 +745,4 @@ class TestJournalSigkill:
         finally:
             self.kill(proc2)
 
-        assert [o.to_jsonable() for o in cache.load(batch)] == expected
+        assert [o.to_jsonable() for o in cache.load(batch).to_outcomes()] == expected

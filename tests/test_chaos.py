@@ -22,6 +22,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.harness.exec import (
     ENGINE_FAST,
+    OutcomeColumns,
     ParallelExecutor,
     ResultCache,
     SerialExecutor,
@@ -171,7 +172,7 @@ class TestInjectionHooks:
     def test_apply_corruption_batch_entry(self, tmp_path):
         batch = fast_batch()
         cache = ResultCache(tmp_path / "cache")
-        cache.store(batch, baseline_outcomes(batch))
+        cache.store(batch, OutcomeColumns.from_outcomes(baseline_outcomes(batch)))
         assert cache.load(batch) is not None
         plan = FaultPlan((Fault("corrupt", 0, entry="batch"),))
         assert apply_corruption(cache, batch, plan) == 1
@@ -181,13 +182,13 @@ class TestInjectionHooks:
         batch = fast_batch()
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
-        cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
-        cache.store_chunk(batch, [3, 4, 5], outcomes[3:6])
+        cache.store_chunk(batch, [0, 1, 2], OutcomeColumns.from_outcomes(outcomes[0:3]))
+        cache.store_chunk(batch, [3, 4, 5], OutcomeColumns.from_outcomes(outcomes[3:6]))
         plan = FaultPlan((Fault("corrupt", 4, entry="partial"),))
         assert apply_corruption(cache, batch, plan) == 1
         salvaged, valid = cache.load_partial(batch)
         assert valid == 1
-        assert sorted(salvaged) == [0, 1, 2]
+        assert salvaged.arrays["trial_index"].tolist() == [0, 1, 2]
 
     def test_apply_corruption_without_cache_or_plan(self, tmp_path):
         batch = fast_batch()
@@ -329,7 +330,7 @@ class TestChaosEquivalence:
         summary = ex.resilience_summary()
         assert summary["retries"] == report.retries
         # The recomputed batch was re-stored; a fresh run now hits.
-        assert jsonable(cache.load(batch)) == expected
+        assert jsonable(cache.load(batch).to_outcomes()) == expected
 
 
 # ----------------------------------------------------------------------
@@ -412,4 +413,4 @@ class TestInterruptResume:
         assert jsonable(outcomes) == expected
         # Completion compacted the ledger into the final document.
         assert not cache.partial_dir(batch).exists()
-        assert jsonable(cache.load(batch)) == expected
+        assert jsonable(cache.load(batch).to_outcomes()) == expected

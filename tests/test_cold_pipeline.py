@@ -218,7 +218,7 @@ class TestLedgerWrites:
         assert cache.chunk_stores == []
         assert _documents(tmp_path) == [cache.path_for(self._batch())]
         assert not cache.partial_dir(self._batch()).exists()
-        assert cache.load(self._batch()) == outcomes
+        assert cache.load(self._batch()).to_outcomes() == outcomes
 
     def test_parallel_cold_run_checkpoints_every_chunk(self, tmp_path):
         cache = _SpyCache(tmp_path)

@@ -25,6 +25,7 @@ from repro.harness.exec import (
     TrialOutcome,
     TrialSpec,
     run_chunk,
+    run_chunk_columns,
 )
 from repro.harness.exec.builders import (
     build_batch_adversary,
@@ -36,10 +37,13 @@ from repro.harness.exec.columns import (
     LAYOUT,
     OutcomeColumns,
     pack_document,
+    pack_documents,
     unpack_document,
+    unpack_documents,
 )
 from repro.harness.exec.trial import outcomes_digest
 from repro.harness.resilience.chaos import _corrupt
+from repro.harness.runner import TrialStats
 from repro.sim.registry import BATCH_ENGINES
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -155,6 +159,98 @@ class TestRoundTrip:
         _assert_exact(
             OutcomeColumns.from_outcomes(outcomes).to_outcomes(), outcomes
         )
+
+
+class TestConcatAndTake:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(OUTCOME, max_size=12), st.integers(0, 12))
+    def test_concat_of_parts_equals_the_whole(self, outcomes, cut):
+        parts = [outcomes[:cut], outcomes[cut:]]
+        joined = OutcomeColumns.concat(
+            [OutcomeColumns.from_outcomes(part) for part in parts]
+        )
+        want = OutcomeColumns.from_outcomes(outcomes)
+        assert len(joined) == len(outcomes)
+        for name, _ in LAYOUT:
+            assert np.array_equal(joined.arrays[name], want.arrays[name]), name
+
+    def test_concat_of_nothing_is_empty(self):
+        empty = OutcomeColumns.concat([])
+        assert len(empty) == 0 and empty.to_outcomes() == []
+        assert empty.digest() == outcomes_digest([])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(OUTCOME, min_size=1, max_size=12), st.data())
+    def test_take_selects_rows_with_their_histories(self, outcomes, data):
+        rows = data.draw(
+            st.lists(st.integers(0, len(outcomes) - 1), max_size=len(outcomes))
+        )
+        taken = OutcomeColumns.from_outcomes(outcomes).take(np.array(rows, dtype=np.int64))
+        _assert_exact(taken.to_outcomes(), [outcomes[r] for r in rows])
+
+
+class TestStatsFromColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(OUTCOME, max_size=12), st.integers(0, 14))
+    def test_matches_folding_the_records(self, outcomes, expected):
+        # The per-record fold TrialStats aggregated with before it read
+        # columns.
+        ordered = sorted(outcomes, key=lambda o: o.trial_index)
+        columns = OutcomeColumns.from_outcomes(outcomes)
+        for kind in (ENGINE_FAST, "reference"):
+            got = TrialStats.from_columns(
+                columns, engine_kind=kind, expected_trials=expected
+            )
+            assert got == TrialStats(
+                decision_rounds=[o.effective_round for o in ordered],
+                crashes=[o.crashes for o in ordered],
+                decisions=[o.decision for o in ordered],
+                verdicts=[o.verdict_obj() for o in ordered if o.verdict is not None],
+                timeouts=sum(1 for o in ordered if o.timeout),
+                engine_kind=kind,
+                missing_trials=max(0, expected - len(outcomes)),
+            )
+            assert type(got.timeouts) is int
+            assert got == TrialStats.from_outcomes(
+                outcomes, engine_kind=kind, expected_trials=expected
+            )
+
+
+class TestDocumentStreams:
+    def _documents(self):
+        docs = []
+        for k in range(3):
+            columns = OutcomeColumns.from_outcomes(
+                [_outcome(i, crashes_per_round=None) for i in range(k)]
+            )
+            docs.append(b"".join(pack_document({"batch": k}, columns)))
+        return docs
+
+    def test_round_trip(self):
+        unpacked = unpack_documents(pack_documents(self._documents()))
+        assert [header for header, _ in unpacked] == [{"batch": k} for k in range(3)]
+        assert [len(columns) for _, columns in unpacked] == [0, 1, 2]
+        assert unpacked[2][1].to_outcomes() == [
+            _outcome(i, crashes_per_round=None) for i in range(2)
+        ]
+        assert unpack_documents(b"") == []
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda body: body[:-1],
+            lambda body: body + b"\x00",
+            lambda body: body[:4],
+            lambda body: (2**62).to_bytes(8, "little") + body[8:],
+            lambda body: body[:8] + b"{" + body[9:],
+        ],
+        ids=["truncated", "trailing-byte", "short-length", "length-past-end",
+             "bad-header"],
+    )
+    def test_damage_raises_configuration_error(self, damage):
+        body = pack_documents(self._documents())
+        with pytest.raises(ConfigurationError):
+            unpack_documents(damage(body))
 
 
 class TestBatchResultEncoding:
@@ -409,7 +505,7 @@ class TestCacheDocuments:
         batch = _batch()
         cache = ResultCache(tmp_path / "cache")
         outcomes = run_chunk(batch.spec, batch.base_seed, range(batch.trials))
-        path = cache.store(batch, outcomes)
+        path = cache.store(batch, OutcomeColumns.from_outcomes(outcomes))
         return batch, cache, outcomes, path
 
     def test_document_layout(self, tmp_path):
@@ -436,7 +532,7 @@ class TestCacheDocuments:
         ).encode("utf-8")
         assert len(data) - end == sum(a.nbytes for a in columns.arrays.values())
         assert columns.to_outcomes() == outcomes
-        assert cache.load(batch) == outcomes
+        assert cache.load(batch).to_outcomes() == outcomes
         # Written by atomic rename: no temp file is left behind.
         assert [p.name for p in path.parent.iterdir() if ".tmp-" in p.name] == []
 
@@ -450,7 +546,7 @@ class TestCacheDocuments:
 
         monkeypatch.setattr("repro.harness.exec.cache.os.replace", refuse)
         with pytest.warns(RuntimeWarning):
-            assert cache.store(batch, outcomes) is None
+            assert cache.store(batch, OutcomeColumns.from_outcomes(outcomes)) is None
         directory = cache.path_for(batch).parent
         assert [p.suffix for p in directory.iterdir()] == [".lock"]
 
@@ -465,22 +561,23 @@ class TestCacheDocuments:
         batch = _batch()
         cache = ResultCache(tmp_path / "cache")
         outcomes = run_chunk(batch.spec, batch.base_seed, range(batch.trials))
-        path = cache.store_chunk(batch, [0, 1, 2], outcomes[:3])
-        cache.store_chunk(batch, [3, 4, 5], outcomes[3:])
+        path = cache.store_chunk(batch, [0, 1, 2], OutcomeColumns.from_outcomes(outcomes[:3]))
+        cache.store_chunk(batch, [3, 4, 5], OutcomeColumns.from_outcomes(outcomes[3:]))
         path.write_bytes(damage(path.read_bytes()))
         salvaged, valid = cache.load_partial(batch)
         assert valid == 1
-        assert sorted(salvaged) == [3, 4, 5]
+        assert salvaged.arrays["trial_index"].tolist() == [3, 4, 5]
 
     def test_chaos_garbage_is_a_miss(self, tmp_path):
         batch, cache, _, path = self._stored(tmp_path)
         assert _corrupt(path)
         assert cache.load(batch) is None
         chunk = cache.store_chunk(
-            batch, [0], run_chunk(batch.spec, batch.base_seed, [0])
+            batch, [0], run_chunk_columns(batch.spec, batch.base_seed, [0])
         )
         assert _corrupt(chunk)
-        assert cache.load_partial(batch) == ({}, 0)
+        salvaged, valid = cache.load_partial(batch)
+        assert (len(salvaged), valid) == (0, 0)
 
     def test_other_batch_document_is_a_miss(self, tmp_path):
         batch, cache, _, path = self._stored(tmp_path)
@@ -492,4 +589,4 @@ class TestCacheDocuments:
     def test_label_is_not_part_of_the_identity(self, tmp_path):
         batch, cache, outcomes, _ = self._stored(tmp_path)
         relabelled = dataclasses.replace(batch, label="elsewhere")
-        assert cache.load(relabelled) == outcomes
+        assert cache.load(relabelled).to_outcomes() == outcomes

@@ -29,6 +29,8 @@ from repro.harness.exec import (
     spec_params,
 )
 from repro.harness.exec import cache as cache_module
+from repro.harness.exec.executor import chunk_indices
+from repro.harness.resilience import RetryPolicy
 from repro.harness.exec import trial as trial_module
 from repro.harness.runner import TrialStats
 from repro.protocols.registry import available_protocols
@@ -238,6 +240,49 @@ class TestWorkerInvariance:
             ParallelExecutor(0)
         with pytest.raises(ConfigurationError):
             ParallelExecutor(2, chunk_size=0)
+
+
+class TestChunkGeometry:
+    def test_default_size_comes_from_the_whole_batch(self):
+        # ceil(100 / (4 * 2)) = 13 trials per chunk, for a fresh run
+        # and for a resumed one that only recomputes a remainder.
+        fresh = chunk_indices(range(100), 100, 2)
+        assert [len(c) for c in fresh] == [13] * 7 + [9]
+        resumed = chunk_indices([99, 40, 41, 42], 100, 2)
+        assert resumed == [[40, 41, 42, 99]]
+        assert chunk_indices(range(5), 5, 2, chunk_size=2) == [[0, 1], [2, 3], [4]]
+
+    def test_remote_and_parallel_executors_share_the_rule(self, tmp_path):
+        # Both executors checkpoint the same ledger spans for the same
+        # fleet size, so either can resume the other's batch.
+        from repro.service import RemoteExecutor
+
+        batch = TrialBatch(spec=fast_spec(), trials=10, base_seed=2)
+        spans = []
+        for make in (
+            lambda cache: ParallelExecutor(2, cache=cache),
+            # A dead fleet: every chunk degrades to local execution,
+            # which still checkpoints the remote chunk geometry.
+            lambda cache: RemoteExecutor(
+                ["http://127.0.0.1:9"] * 2,
+                cache=cache,
+                retry=RetryPolicy(
+                    max_attempts=4, backoff_base=0.0, pool_failure_limit=1
+                ),
+            ),
+        ):
+            root = tmp_path / str(len(spans))
+            recorded = []
+
+            class Spy(ResultCache):
+                def store_chunk(self, batch, indices, columns):
+                    recorded.append(list(indices))
+                    return super().store_chunk(batch, indices, columns)
+
+            with make(Spy(root)) as executor:
+                executor.run_columns(batch)
+            spans.append(sorted(recorded))
+        assert spans[0] == spans[1] == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
 
 
 class TestFreshObjectsPerTrial:

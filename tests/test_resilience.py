@@ -15,13 +15,14 @@ from repro.errors import ConfigurationError
 from repro.harness.exec import (
     ENGINE_BATCH,
     ENGINE_FAST,
+    OutcomeColumns,
     ParallelExecutor,
     ResultCache,
     SerialExecutor,
     TrialBatch,
     TrialOutcome,
     TrialSpec,
-    run_spec_batch,
+    run_chunk,
     run_spec_trial,
 )
 from repro.harness.resilience import (
@@ -159,64 +160,62 @@ class TestPartialLedger:
         batch = fast_batch()
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
-        cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
-        cache.store_chunk(batch, [6, 7, 8], outcomes[6:9])
+        cache.store_chunk(batch, [0, 1, 2], OutcomeColumns.from_outcomes(outcomes[0:3]))
+        cache.store_chunk(batch, [6, 7, 8], OutcomeColumns.from_outcomes(outcomes[6:9]))
         salvaged, valid = cache.load_partial(batch)
         assert valid == 2
-        assert sorted(salvaged) == [0, 1, 2, 6, 7, 8]
-        assert jsonable([salvaged[i] for i in (0, 1, 2)]) == jsonable(
-            outcomes[0:3]
-        )
+        assert salvaged.arrays["trial_index"].tolist() == [0, 1, 2, 6, 7, 8]
+        assert jsonable(salvaged.to_outcomes()[0:3]) == jsonable(outcomes[0:3])
 
     def test_corrupt_chunk_doc_is_a_miss_not_an_error(self, tmp_path):
         batch = fast_batch()
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
-        cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
-        cache.store_chunk(batch, [3, 4, 5], outcomes[3:6])
+        cache.store_chunk(batch, [0, 1, 2], OutcomeColumns.from_outcomes(outcomes[0:3]))
+        cache.store_chunk(batch, [3, 4, 5], OutcomeColumns.from_outcomes(outcomes[3:6]))
         paths = cache.partial_paths(batch)
         assert len(paths) == 2
         paths[0].write_text("{torn", encoding="utf-8")
         salvaged, valid = cache.load_partial(batch)
         assert valid == 1
-        assert sorted(salvaged) == [3, 4, 5]
+        assert salvaged.arrays["trial_index"].tolist() == [3, 4, 5]
 
     def test_truncated_chunk_doc_is_a_miss(self, tmp_path):
         batch = fast_batch()
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
-        path = cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
+        path = cache.store_chunk(batch, [0, 1, 2], OutcomeColumns.from_outcomes(outcomes[0:3]))
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         salvaged, valid = cache.load_partial(batch)
         assert valid == 0
-        assert salvaged == {}
+        assert len(salvaged) == 0
 
     def test_wrong_batch_chunk_doc_is_a_miss(self, tmp_path):
         batch = fast_batch()
         other = fast_batch(base_seed=8)
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
-        cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
+        cache.store_chunk(batch, [0, 1, 2], OutcomeColumns.from_outcomes(outcomes[0:3]))
         salvaged, valid = cache.load_partial(other)
         assert valid == 0
-        assert salvaged == {}
+        assert len(salvaged) == 0
 
     def test_final_store_compacts_ledger(self, tmp_path):
         batch = fast_batch()
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
-        cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
+        cache.store_chunk(batch, [0, 1, 2], OutcomeColumns.from_outcomes(outcomes[0:3]))
         assert cache.partial_paths(batch)
-        cache.store(batch, outcomes)
+        cache.store(batch, OutcomeColumns.from_outcomes(outcomes))
         assert not cache.partial_dir(batch).exists()
-        assert jsonable(cache.load(batch)) == jsonable(outcomes)
+        assert jsonable(cache.load(batch).to_outcomes()) == jsonable(outcomes)
 
     def test_chunk_doc_span_parsing(self, tmp_path):
         batch = fast_batch()
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
-        path = cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
+        path = cache.store_chunk(batch, [0, 1, 2], OutcomeColumns.from_outcomes(outcomes[0:3]))
         assert cache.chunk_doc_span(path) == (0, 2)
         assert cache.chunk_doc_span(tmp_path / "nope.json") == (None, None)
 
@@ -229,12 +228,12 @@ class TestCacheDegradation:
         batch = fast_batch()
         outcomes = baseline_outcomes(batch)
         with pytest.warns(RuntimeWarning, match="continuing uncached"):
-            assert cache.store(batch, outcomes) is None
+            assert cache.store(batch, OutcomeColumns.from_outcomes(outcomes)) is None
         # Subsequent stores are silent no-ops; loads stay plain misses.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cache.store(batch, outcomes) is None
-            assert cache.store_chunk(batch, [0], outcomes[:1]) is None
+            assert cache.store(batch, OutcomeColumns.from_outcomes(outcomes)) is None
+            assert cache.store_chunk(batch, [0], OutcomeColumns.from_outcomes(outcomes[:1])) is None
             assert cache.load(batch) is None
 
     def test_run_completes_uncached_on_unwritable_root(self, tmp_path):
@@ -257,7 +256,7 @@ class TestCacheDegradation:
             cache = ResultCache(root)
             batch = fast_batch()
             with pytest.warns(RuntimeWarning):
-                assert cache.store(batch, baseline_outcomes(batch)) is None
+                assert cache.store(batch, OutcomeColumns.from_outcomes(baseline_outcomes(batch))) is None
         finally:
             root.chmod(0o700)
 
@@ -326,7 +325,7 @@ class TestRetryAndQuarantine:
         # The chunks that did complete are checkpointed for next time.
         salvaged, valid = cache.load_partial(batch)
         assert valid == 3
-        assert 4 not in salvaged
+        assert 4 not in salvaged.arrays["trial_index"]
 
     def test_resume_uses_ledger_without_recomputing(self, tmp_path):
         batch = fast_batch()
@@ -346,7 +345,7 @@ class TestRetryAndQuarantine:
             )
             for o in outcomes[0:3]
         ]
-        cache.store_chunk(batch, [0, 1, 2], marked)
+        cache.store_chunk(batch, [0, 1, 2], OutcomeColumns.from_outcomes(marked))
         with ParallelExecutor(2, cache=cache, chunk_size=3) as ex:
             resumed = ex.run_outcomes(batch)
         assert ex.last_report.resumed_chunks == 1
@@ -357,14 +356,14 @@ class TestRetryAndQuarantine:
         batch = fast_batch()
         cache = ResultCache(tmp_path / "cache")
         outcomes = baseline_outcomes(batch)
-        cache.store_chunk(batch, [0, 1, 2], outcomes[0:3])
+        cache.store_chunk(batch, [0, 1, 2], OutcomeColumns.from_outcomes(outcomes[0:3]))
         with SerialExecutor(cache=cache) as ex:
             resumed = ex.run_outcomes(batch)
         assert ex.last_report.resumed_chunks == 1
         assert jsonable(resumed) == jsonable(outcomes)
         # Completion compacted the ledger into the final document.
         assert not cache.partial_dir(batch).exists()
-        assert jsonable(cache.load(batch)) == jsonable(outcomes)
+        assert jsonable(cache.load(batch).to_outcomes()) == jsonable(outcomes)
 
     def test_resilience_summary_aggregates(self):
         batch = fast_batch(trials=4)
@@ -418,8 +417,12 @@ class TestStatsIntegration:
         assert row.violations == 0
 
     def test_duplicate_chunk_indices_rejected(self):
-        spec = fast_spec(
-            engine=ENGINE_BATCH, adversary="random", t=8, inputs="random"
-        )
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            run_spec_batch(spec, [0, 1, 1], 0)
+        # The chunk entry rejects a repeated index on every engine, not
+        # only the vectorized ones.
+        for spec in (
+            fast_spec(engine=ENGINE_BATCH, adversary="random", t=8, inputs="random"),
+            fast_spec(),
+            fast_spec(engine="reference", adversary="random", t=8),
+        ):
+            with pytest.raises(ConfigurationError, match="duplicate"):
+                run_chunk(spec, 0, [0, 1, 1])

@@ -14,13 +14,16 @@ server threads) but no subprocesses — the subprocess path is covered
 by ``repro.service.smoke`` and ``tests/test_service_resume.py``.
 """
 
+import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ReproError
 from repro.harness.exec import (
     ExecutionPlan,
+    OutcomeColumns,
     ResultCache,
     SerialExecutor,
     ParallelExecutor,
@@ -28,8 +31,17 @@ from repro.harness.exec import (
     TrialSpec,
     WIRE_VERSION,
     make_executor,
+    run_chunk,
+    run_chunk_columns,
+    spec_from_wire,
 )
-from repro.harness.exec.trial import ENGINE_FAST
+from repro.harness.exec.columns import (
+    pack_document,
+    pack_documents,
+    unpack_document,
+    unpack_documents,
+)
+from repro.harness.exec.trial import ENGINE_BATCH, ENGINE_FAST, outcomes_digest
 from repro.harness.resilience import Fault, FaultPlan, RetryPolicy
 from repro.harness.runner import TrialStats
 from repro.service import (
@@ -41,7 +53,14 @@ from repro.service import (
     SweepServerApp,
     WorkerApp,
 )
-from repro.service.netio import ServiceUnreachable, request_json
+from repro.service.netio import (
+    COLUMNS_CONTENT_TYPE,
+    App,
+    Response,
+    ServiceUnreachable,
+    request_json,
+)
+from repro.service.worker import chunk_document
 
 
 def fast_spec(**overrides):
@@ -70,6 +89,25 @@ def two_batch_plan(trials=10, base_seed=7):
             ),
         )
     )
+
+
+@pytest.fixture
+def job_gate(monkeypatch):
+    """Hold serial job execution until the test sets the returned event.
+
+    A small job can settle before the client's next request arrives;
+    tests that must observe an unsettled job hold it with this.
+    """
+    gate = threading.Event()
+    execute = SerialExecutor._execute
+
+    def gated(executor, batch, report):
+        gate.wait(10)
+        return execute(executor, batch, report)
+
+    monkeypatch.setattr(SerialExecutor, "_execute", gated)
+    yield gate
+    gate.set()
 
 
 @pytest.fixture
@@ -130,6 +168,30 @@ class TestRemoteDifferential:
         assert sum(r.retries for r in remote.reports) >= 1
         assert all(r.quarantined == 0 for r in remote.reports)
         assert all(s.missing_trials == 0 for s in remote_stats)
+
+    @pytest.mark.parametrize("engine", [ENGINE_FAST, ENGINE_BATCH])
+    def test_run_columns_digest_agrees_across_executors(
+        self, worker_fleet, tmp_path, engine
+    ):
+        batch = TrialBatch(
+            spec=fast_spec(engine=engine), trials=10, base_seed=9
+        )
+        reference = outcomes_digest(
+            run_chunk(batch.spec, batch.base_seed, range(batch.trials))
+        )
+        remote = RemoteExecutor(
+            worker_fleet,
+            cache=ResultCache(tmp_path / "cache"),
+            chunk_size=3,
+            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
+        )
+        digests = []
+        for executor in (SerialExecutor(), ParallelExecutor(2, chunk_size=3), remote):
+            with executor:
+                digests.append(executor.run_columns(batch).digest())
+        assert digests == [reference] * 3
+        # The faulty worker's injected failure fired and was absorbed.
+        assert remote.reports[-1].retries >= 1
 
     def test_dead_endpoint_is_quarantined_not_fatal(
         self, worker_fleet, tmp_path
@@ -210,7 +272,7 @@ class TestJobDedup:
         assert doc["state"] == "done"
         assert doc["submissions"] == 5
         assert doc["progress"]["completed_trials"] == plan.total_trials()
-        assert len(first.outcomes_doc()["batches"]) == 2
+        assert len(unpack_documents(first.outcomes_doc())) == 2
         manager.shutdown()
 
     def test_resubmission_after_completion_coalesces(self, tmp_path):
@@ -286,16 +348,16 @@ class TestHttpService:
         again = service.submit(plan)
         assert again.coalesced and again.job_id == receipt.job_id
 
-    def test_http_error_surfaces(self, service):
+    def test_http_error_surfaces(self, service, job_gate):
         with pytest.raises(ReproError, match="404"):
             service.status("no-such-job")
         with pytest.raises(ReproError, match="409"):
-            # Submit, then immediately demand outcomes of a job that
-            # cannot have settled yet (job pool has not even started).
+            # Submit, then demand outcomes of a job that has not settled.
             receipt = service.submit(two_batch_plan(trials=2), label="racy")
             try:
                 service.outcomes(receipt.job_id)
             finally:
+                job_gate.set()
                 service.wait(receipt.job_id, timeout=60)
 
     def test_malformed_submission_is_400(self, service):
@@ -371,6 +433,246 @@ class TestWorkerEndpointContract:
         assert status == 400
         assert "unsupported wire version" in doc["error"]
 
+    def test_json_records_peer_is_refused_by_version(self, worker_url):
+        # Wire 2 peers expect JSON records back from /chunks; they are
+        # turned away up front rather than handed column bytes.
+        from repro.harness.exec import spec_to_wire
+
+        spec = dict(spec_to_wire(fast_spec()), wire=2)
+        status, doc = request_json(
+            worker_url,
+            "POST",
+            "/chunks",
+            {"wire": 2, "spec": spec, "base_seed": 0, "indices": [0]},
+        )
+        assert status == 400
+        assert "unsupported wire version" in doc["error"]
+
+    @pytest.mark.parametrize("engine", [ENGINE_FAST, ENGINE_BATCH])
+    @pytest.mark.parametrize(
+        "indices",
+        [[3, 3], [0, -1], [0, 1.5], ["2"], [True], "0,1", [[0]]],
+        ids=["duplicate", "negative", "float", "string", "bool", "not-a-list",
+             "nested"],
+    )
+    def test_bad_indices_are_400(self, worker_url, engine, indices):
+        from repro.harness.exec import spec_to_wire
+
+        status, doc = request_json(
+            worker_url,
+            "POST",
+            "/chunks",
+            {
+                "wire": WIRE_VERSION,
+                "spec": spec_to_wire(fast_spec(engine=engine)),
+                "base_seed": 0,
+                "indices": indices,
+            },
+        )
+        assert status == 400
+        assert "error" in doc
+
+    def test_chunk_answer_is_one_attested_column_document(self, worker_url):
+        from repro.harness.exec import spec_to_wire
+
+        spec = fast_spec(engine=ENGINE_BATCH)
+        status, body = request_json(
+            worker_url,
+            "POST",
+            "/chunks",
+            {
+                "wire": WIRE_VERSION,
+                "spec": spec_to_wire(spec),
+                "base_seed": 4,
+                "indices": [5, 2, 7],
+            },
+        )
+        assert status == 200 and isinstance(body, bytes)
+        header, columns = unpack_document(body)
+        expected = run_chunk(spec, 4, [5, 2, 7])
+        assert header == {"wire": WIRE_VERSION, "chunk_digest": outcomes_digest(expected)}
+        assert columns.to_outcomes() == expected
+
+
+def _hostile_bodies():
+    """Ways a worker's 200 answer to ``/chunks`` can be wrong, by name.
+
+    Each maps the honest answer ``(body, indices, columns)`` to the
+    ``(content type, bytes)`` the hostile worker sends instead.
+    """
+
+    def columns_doc(header, columns):
+        return COLUMNS_CONTENT_TYPE, b"".join(pack_document(header, columns))
+
+    def honest_header(columns):
+        return {"wire": WIRE_VERSION, "chunk_digest": columns.digest()}
+
+    def table_past_end(body, indices, columns):
+        end = 8 + int.from_bytes(body[:8], "little")
+        header = json.loads(body[8:end])
+        header["columns"][-1][2] += 50
+        raw = json.dumps(header).encode("utf-8")
+        return COLUMNS_CONTENT_TYPE, len(raw).to_bytes(8, "little") + raw + body[end:]
+
+    def wrong_index_set(body, indices, columns):
+        fewer = columns.take(np.arange(len(columns) - 1))
+        return columns_doc(honest_header(fewer), fewer)
+
+    def v2_records(body, indices, columns):
+        records = [o.to_jsonable() for o in columns.to_outcomes()]
+        return "application/json", json.dumps(
+            {"outcomes": records, "chunk_digest": columns.digest()}
+        ).encode("utf-8")
+
+    return {
+        "truncated": lambda body, indices, columns: (
+            COLUMNS_CONTENT_TYPE, body[:-5]
+        ),
+        "trailing-bytes": lambda body, indices, columns: (
+            COLUMNS_CONTENT_TYPE, body + b"\x00\x00"
+        ),
+        "column-table-past-end": table_past_end,
+        "wrong-chunk-digest": lambda body, indices, columns: columns_doc(
+            {"wire": WIRE_VERSION, "chunk_digest": "0" * 64}, columns
+        ),
+        "wrong-index-set": wrong_index_set,
+        "v2-json-records": v2_records,
+        "json-body": lambda body, indices, columns: (
+            "application/json", b'{"ok": true}'
+        ),
+        "json-under-column-type": lambda body, indices, columns: (
+            COLUMNS_CONTENT_TYPE, b'{"outcomes": []}'
+        ),
+    }
+
+
+HOSTILE_BODIES = _hostile_bodies()
+
+
+def _response(content_type, body):
+    """Serve ``body`` under ``content_type`` (JSON bodies re-parsed)."""
+    if content_type == "application/json":
+        return Response(payload=json.loads(body))
+    return Response(payload=body, content_type=content_type)
+
+
+class TestHostileWire:
+    """A worker answering 200 with a bad body is an endpoint failure:
+    the breaker is charged and the batch completes elsewhere, never a
+    crashed job."""
+
+    @staticmethod
+    def hostile_worker(damage):
+        app = App()
+
+        async def chunks(request):
+            doc = request.json()
+            spec = spec_from_wire(doc["spec"])
+            columns = run_chunk_columns(spec, doc["base_seed"], doc["indices"])
+            body = chunk_document(columns)
+            content_type, sent = damage(body, doc["indices"], columns)
+            return _response(content_type, sent)
+
+        app.add("POST", "/chunks", chunks)
+        thread = ServerThread(app)
+        thread.start()
+        return thread
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_BODIES))
+    def test_bad_body_is_an_endpoint_failure(self, tmp_path, name):
+        batch = TrialBatch(spec=fast_spec(engine=ENGINE_BATCH), trials=6, base_seed=3)
+        thread = self.hostile_worker(HOSTILE_BODIES[name])
+        try:
+            remote = RemoteExecutor(
+                [thread.url],
+                cache=ResultCache(tmp_path / "cache"),
+                chunk_size=2,
+                retry=RetryPolicy(
+                    max_attempts=2, backoff_base=0.0, pool_failure_limit=1
+                ),
+            )
+            with remote:
+                outcomes = remote.run_outcomes(batch)
+            # Rejected on receipt (not a transport error or a 500).
+            probe = RemoteExecutor([thread.url])
+            with pytest.raises(
+                ServiceUnreachable,
+                match="malformed|did not answer|attestation|wrong trial",
+            ):
+                probe._post_chunk(probe.endpoints[0], batch, [0, 1], 0)
+        finally:
+            thread.stop()
+        assert outcomes == SerialExecutor().run_outcomes(batch)
+        summary = remote.worker_summary()
+        assert summary[0]["quarantined"] is True
+        assert summary[0]["chunks_completed"] == 0
+        report = remote.reports[-1]
+        assert report.degraded_to_serial and report.quarantined == 0
+
+
+class TestClientOutcomesBody:
+    """A corrupt ``/jobs/<id>/outcomes`` body is a ReproError."""
+
+    @pytest.fixture
+    def served(self):
+        bodies = {}
+        app = App()
+
+        async def outcomes(request):
+            return _response(*bodies["next"])
+
+        app.add("GET", "/jobs/{job_id}/outcomes", outcomes)
+        thread = ServerThread(app)
+        thread.start()
+        yield bodies, ServiceClient(thread.url)
+        thread.stop()
+
+    @staticmethod
+    def good_body(header=None):
+        columns = run_chunk_columns(fast_spec(), 1, [0, 1])
+        header = header if header is not None else {
+            "job_id": "j", "plan_key": "k", "label": "l", "batch_key": "b",
+        }
+        return pack_documents([b"".join(pack_document(header, columns))])
+
+    def test_good_body_decodes_to_records(self, served):
+        bodies, client = served
+        bodies["next"] = (COLUMNS_CONTENT_TYPE, self.good_body())
+        doc = client.outcomes("j")
+        assert doc == {
+            "job_id": "j",
+            "plan_key": "k",
+            "batches": [
+                {
+                    "label": "l",
+                    "batch_key": "b",
+                    "outcomes": [o.to_jsonable() for o in run_chunk(fast_spec(), 1, [0, 1])],
+                }
+            ],
+        }
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda good: (COLUMNS_CONTENT_TYPE, good[:-3]),
+            lambda good: (COLUMNS_CONTENT_TYPE, good + b"\x01"),
+            lambda good: (COLUMNS_CONTENT_TYPE, b""),
+            lambda good: (COLUMNS_CONTENT_TYPE, b"not columns at all"),
+            lambda good: ("application/json", b'{"batches": []}'),
+            lambda good: (
+                COLUMNS_CONTENT_TYPE,
+                TestClientOutcomesBody.good_body({"job_id": "j"}),
+            ),
+        ],
+        ids=["truncated", "trailing-byte", "empty", "garbage", "json",
+             "header-missing-fields"],
+    )
+    def test_corrupt_body_raises_repro_error(self, served, make):
+        bodies, client = served
+        bodies["next"] = make(self.good_body())
+        with pytest.raises(ReproError, match="malformed"):
+            client.outcomes("j")
+
 
 class TestCacheLocking:
     def test_concurrent_writers_share_a_cache_dir(self, tmp_path):
@@ -381,6 +683,8 @@ class TestCacheLocking:
         # same complete result.
         batch = TrialBatch(spec=fast_spec(), trials=6, base_seed=2)
         outcomes = SerialExecutor().run_outcomes(batch)
+        whole = OutcomeColumns.from_outcomes(outcomes)
+        head = OutcomeColumns.from_outcomes(outcomes[:3])
         root = tmp_path / "shared-cache"
         errors = []
 
@@ -388,8 +692,8 @@ class TestCacheLocking:
             try:
                 cache = ResultCache(root)
                 for _ in range(20):
-                    cache.store_chunk(batch, [0, 1, 2], outcomes[:3])
-                    cache.store(batch, outcomes)
+                    cache.store_chunk(batch, [0, 1, 2], head)
+                    cache.store(batch, whole)
             except Exception as exc:  # pragma: no cover - the failure
                 errors.append(exc)
 
@@ -400,9 +704,9 @@ class TestCacheLocking:
             t.join()
         assert not errors
         cache = ResultCache(root)
-        assert cache.load(batch) == outcomes
+        assert cache.load(batch).to_outcomes() == outcomes
         # A finished document wins over any straggler ledger write.
-        assert cache.store_chunk(batch, [0, 1], outcomes[:2]) is None
+        assert cache.store_chunk(batch, [0, 1], head) is None
 
     def test_lock_files_live_beside_documents(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
@@ -425,7 +729,7 @@ class TestServeConfig:
         assert isinstance(executor, RemoteExecutor)
         executor.close()
 
-    def test_client_wait_times_out(self, tmp_path):
+    def test_client_wait_times_out(self, tmp_path, job_gate):
         app = SweepServerApp(
             ServerConfig(cache_dir=str(tmp_path / "cache"))
         )
@@ -435,6 +739,7 @@ class TestServeConfig:
         receipt = client.submit(two_batch_plan(trials=2))
         with pytest.raises(ServiceUnreachable):
             client.wait(receipt.job_id, timeout=0.0, poll=0.01)
+        job_gate.set()
         client.wait(receipt.job_id, timeout=60)
         app.close()
         thread.stop()

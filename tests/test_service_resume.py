@@ -158,4 +158,4 @@ class TestServiceResume:
 
         # Completion compacted the ledger into the final document.
         assert not cache.partial_dir(batch).exists()
-        assert [o.to_jsonable() for o in cache.load(batch)] == expected
+        assert [o.to_jsonable() for o in cache.load(batch).to_outcomes()] == expected
